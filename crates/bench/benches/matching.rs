@@ -1,5 +1,5 @@
-//! S1 — matching-table construction scaling: hash join vs nested
-//! loop, and the §4.2 algebra pipeline.
+//! S1 — matching-table construction scaling: the blocked engine vs
+//! the nested-loop oracle, and the §4.2 algebra pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -16,10 +16,10 @@ fn bench_matching(c: &mut Criterion) {
         let mut config = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
         config.collect_negative = false;
 
-        let hash_cfg = config.clone();
-        group.bench_with_input(BenchmarkId::new("hash_join", n), &n, |b, _| {
+        let blocked_cfg = config.clone();
+        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |b, _| {
             b.iter(|| {
-                EntityMatcher::new(w.r.clone(), w.s.clone(), hash_cfg.clone())
+                EntityMatcher::new(w.r.clone(), w.s.clone(), blocked_cfg.clone())
                     .unwrap()
                     .run()
                     .unwrap()

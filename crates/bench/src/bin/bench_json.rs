@@ -1,6 +1,5 @@
 //! Machine-readable matching benchmark: nested-loop oracle vs the
-//! seed hash path vs the blocked engine (serial and parallel), at a
-//! few workload sizes, written to `BENCH_matching.json` at the repo
+//! blocked engine (serial and parallel), at a few workload sizes, written to `BENCH_matching.json` at the repo
 //! root. Each engine entry embeds the per-stage breakdown and engine
 //! counters from its [`MatchOutcome::stats`] report, so a regression
 //! can be localised (compile? index? residual scan?) without
@@ -25,7 +24,7 @@ use std::time::Instant;
 
 use eid_bench::scaling_workload;
 use eid_core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchOutcome};
-use eid_core::plan::EmitHint;
+use eid_core::plan::{EmitHint, PlanNodeKind};
 use eid_core::store::Dataset;
 use eid_core::SpillDirGuard;
 use eid_obs::MatchReport;
@@ -47,12 +46,6 @@ const ENGINES: &[Engine] = &[
     Engine {
         name: "nested_loop",
         join: JoinAlgorithm::NestedLoop,
-        threads: 1,
-        max_n: 3200,
-    },
-    Engine {
-        name: "hash",
-        join: JoinAlgorithm::Hash,
         threads: 1,
         max_n: 3200,
     },
@@ -83,13 +76,17 @@ struct Measurement {
     /// Plan-cache `(hits, misses)` across every rep of this engine —
     /// all reps after the first should hit.
     plan_cache: (u64, u64),
+    /// `VectorScan` nodes in the plan this engine ran.
+    vector_nodes: usize,
 }
 
 /// The planner's decisions for one engine run, as a JSON object:
-/// the execution-mode label, the chosen blocking key (with the cost
-/// model's rationale) per probed identity rule, and the plan-cache
-/// accounting. Read off the run's `plan/*` report labels.
-fn plan_json(stats: &MatchReport, plan_cache: (u64, u64)) -> String {
+/// the execution-mode and emission labels, the vectorized node
+/// count, the chosen blocking key (with the cost model's rationale)
+/// per probed identity rule, and the plan-cache accounting. Read off
+/// the run's `plan/*` report labels.
+fn plan_json(m: &Measurement) -> String {
+    let stats = &m.stats;
     let mode = stats.label("plan/mode").unwrap_or("?");
     let emit = stats.label("plan/emit").unwrap_or("?");
     let keys: Vec<String> = stats
@@ -102,22 +99,13 @@ fn plan_json(stats: &MatchReport, plan_cache: (u64, u64)) -> String {
         })
         .collect();
     format!(
-        "\"plan\": {{\"mode\": \"{mode}\", \"emit\": \"{emit}\", \"keys\": {{{}}}, \
-         \"cache_hits\": {}, \"cache_misses\": {}}}",
+        "\"plan\": {{\"mode\": \"{mode}\", \"emit\": \"{emit}\", \"vector_nodes\": {}, \
+         \"keys\": {{{}}}, \"cache_hits\": {}, \"cache_misses\": {}}}",
+        m.vector_nodes,
         keys.join(", "),
-        plan_cache.0,
-        plan_cache.1
+        m.plan_cache.0,
+        m.plan_cache.1
     )
-}
-
-/// The `--emit` flag value, for the JSON header.
-fn emit_hint_str(hint: EmitHint) -> &'static str {
-    match hint {
-        EmitHint::Auto => "auto",
-        EmitHint::Buffered => "buffered",
-        EmitHint::Streamed => "streamed",
-        EmitHint::Spilled => "spilled",
-    }
 }
 
 /// The per-stage and counter breakdown of one engine run, as three
@@ -171,7 +159,7 @@ fn measure_all(
     config: &MatchConfig,
     r: &eid_relational::Relation,
     s: &eid_relational::Relation,
-) -> Vec<(MatchOutcome, f64, (u64, u64))> {
+) -> Vec<(MatchOutcome, f64, (u64, u64), usize)> {
     let matchers: Vec<EntityMatcher> = engines
         .iter()
         .map(|engine| {
@@ -202,11 +190,19 @@ fn measure_all(
         }
     }
     let caches: Vec<(u64, u64)> = matchers.iter().map(|m| m.plan_cache_stats()).collect();
+    let vector_nodes = matchers.iter().map(|m| {
+        let plan = m.plan().unwrap();
+        plan.nodes
+            .iter()
+            .filter(|n| matches!(n.kind, PlanNodeKind::VectorScan { .. }))
+            .count()
+    });
     outcomes
         .into_iter()
         .zip(best)
         .zip(caches)
-        .map(|((outcome, seconds), cache)| (outcome, seconds, cache))
+        .zip(vector_nodes)
+        .map(|(((outcome, seconds), cache), vector)| (outcome, seconds, cache, vector))
         .collect()
 }
 
@@ -236,17 +232,11 @@ fn main() {
         } else if arg == "--trace-out" {
             trace_out = Some(args.next().expect("--trace-out needs a path"));
         } else if arg == "--emit" {
-            let v = args
-                .next()
-                .expect("--emit needs auto|buffered|streamed|spilled");
+            let v = args.next().expect("--emit needs auto|spilled");
             emit = match v.as_str() {
                 "auto" => EmitHint::Auto,
-                "buffered" => EmitHint::Buffered,
-                "streamed" => EmitHint::Streamed,
                 "spilled" => EmitHint::Spilled,
-                other => {
-                    panic!("--emit must be auto, buffered, streamed, or spilled, got {other:?}")
-                }
+                other => panic!("--emit must be auto or spilled, got {other:?}"),
             };
         } else if arg == "--engines" {
             let names = args.next().expect("--engines needs a comma-separated list");
@@ -320,7 +310,7 @@ fn main() {
         );
 
         let mut measurements: Vec<Measurement> = Vec::new();
-        for (engine, (outcome, seconds, plan_cache)) in selected
+        for (engine, (outcome, seconds, plan_cache, vector_nodes)) in selected
             .iter()
             .zip(measure_all(&selected, &config, &w.r, &w.s))
         {
@@ -340,6 +330,7 @@ fn main() {
                 undetermined: outcome.undetermined,
                 stats: outcome.stats,
                 plan_cache,
+                vector_nodes,
             });
         }
 
@@ -383,48 +374,6 @@ fn main() {
             eid_core::kernels::simd_level()
         );
 
-        // Emit A/B: the same blocked run with the emission path
-        // flipped (streamed ⇄ buffered) must classify every pair
-        // identically — the sharded sink is a pure representation
-        // change. The flip is read off the blocked arm's resolved
-        // plan label, so the A/B is meaningful whatever `--emit`
-        // (or the auto threshold) picked for the timed runs.
-        let resolved_emit = measurements
-            .iter()
-            .find(|m| m.name.starts_with("blocked"))
-            .or(measurements.first())
-            .and_then(|m| m.stats.label("plan/emit"))
-            .unwrap_or("?")
-            .to_string();
-        let ab_flip = if resolved_emit.starts_with("streamed") {
-            EmitHint::Buffered
-        } else {
-            EmitHint::Streamed
-        };
-        let ab = {
-            let mut ab_config = config.clone();
-            ab_config.join = JoinAlgorithm::Blocked;
-            ab_config.threads = 0;
-            ab_config.emit = ab_flip;
-            EntityMatcher::new(w.r.clone(), w.s.clone(), ab_config)
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        assert_eq!(
-            (ab.matching.len(), ab.negative.len(), ab.undetermined),
-            (oracle.matching, oracle.negative, oracle.undetermined),
-            "emit={} disagrees with the timed arms at n={n}",
-            emit_hint_str(ab_flip)
-        );
-        let emit_json = format!(
-            "\"emit\": {{\"hint\": \"{}\", \"resolved\": \"{}\", \
-             \"ab_flip\": \"{}\", \"ab_identical\": true}}",
-            emit_hint_str(emit),
-            resolved_emit.split(':').next().unwrap_or("?"),
-            emit_hint_str(ab_flip)
-        );
-
         let nested = measurements.iter().find(|m| m.name == "nested_loop");
         let speedup = |name: &str| -> f64 {
             match (nested, measurements.iter().find(|m| m.name == name)) {
@@ -447,7 +396,7 @@ fn main() {
                     m.matching,
                     m.negative,
                     m.undetermined,
-                    plan_json(&m.stats, m.plan_cache),
+                    plan_json(m),
                     breakdown_json(&m.stats)
                 )
             })
@@ -460,7 +409,6 @@ fn main() {
                 "      \"s_rows\": {},\n",
                 "      \"pairs\": {},\n",
                 "      {},\n",
-                "      {},\n",
                 "      \"engines\": [\n        {}\n      ],\n",
                 "      \"speedup_blocked_vs_nested_loop\": {},\n",
                 "      \"speedup_blocked_parallel_vs_nested_loop\": {}\n",
@@ -471,7 +419,6 @@ fn main() {
             w.s.len(),
             pairs,
             kernels_json,
-            emit_json,
             engines_json.join(",\n        "),
             json_f64(speedup("blocked")),
             json_f64(speedup("blocked_parallel"))
@@ -562,7 +509,7 @@ fn main() {
             }
             (outcome.unwrap(), best)
         };
-        let (streamed, streamed_s) = run_arm(EmitHint::Streamed, None);
+        let (streamed, streamed_s) = run_arm(EmitHint::Auto, None);
         let (budgeted, budgeted_s) = run_arm(EmitHint::Auto, Some(budget_bytes));
         let (forced, forced_s) = run_arm(EmitHint::Spilled, None);
         let counts = |o: &MatchOutcome| (o.matching.len(), o.negative.len(), o.undetermined);

@@ -440,7 +440,7 @@ fn scaling() {
     banner("S1: matching-table construction scaling (one-shot timings)");
     println!(
         "{:>8} {:>10} {:>14} {:>14}",
-        "entities", "pairs", "hash join", "nested loop"
+        "entities", "pairs", "blocked", "nested loop"
     );
     for n in [100usize, 400, 1600] {
         let w = scaling_workload(n, 11);
@@ -448,11 +448,11 @@ fn scaling() {
         config.collect_negative = false;
 
         let start = Instant::now();
-        let hash = EntityMatcher::new(w.r.clone(), w.s.clone(), config.clone())
+        let blocked = EntityMatcher::new(w.r.clone(), w.s.clone(), config.clone())
             .unwrap()
             .run()
             .unwrap();
-        let hash_t = start.elapsed();
+        let blocked_t = start.elapsed();
 
         config.join = JoinAlgorithm::NestedLoop;
         let start = Instant::now();
@@ -462,12 +462,12 @@ fn scaling() {
             .unwrap();
         let nested_t = start.elapsed();
 
-        assert_eq!(hash.matching.len(), nested.matching.len());
+        assert_eq!(blocked.matching.len(), nested.matching.len());
         println!(
             "{:>8} {:>10} {:>14?} {:>14?}",
             n,
             w.r.len() * w.s.len(),
-            hash_t,
+            blocked_t,
             nested_t
         );
     }

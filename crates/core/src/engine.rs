@@ -511,7 +511,6 @@ struct SideIndexes {
 /// degradation ladder expressed as plan rewrites.
 #[derive(Debug, Clone)]
 pub struct Executor {
-    compiled: CompiledRuleBase,
     interned: InternedRuleBase,
     interner: Interner,
     cols_r: Columns,
@@ -520,10 +519,9 @@ pub struct Executor {
     attrs_s: Vec<String>,
     threads: usize,
     kernels: bool,
-    /// Emission-path hint handed to the planner: stream negative
-    /// pairs into sharded bitset sinks, buffer them as raw pair
-    /// lists, spill shards to disk, or let the cost model decide
-    /// (the default).
+    /// Emission-path hint handed to the planner: force spilled
+    /// shards, or let the planner stream (spilling only past the
+    /// memory budget; the default).
     emit: EmitHint,
     /// Whether a memory-budget breach may degrade to out-of-core
     /// spilling (`--no-spill` turns this off, restoring abort).
@@ -621,7 +619,6 @@ impl Executor {
                 .collect()
         };
         Executor {
-            compiled,
             interned,
             interner,
             attrs_r: attr_names(ext_r),
@@ -673,7 +670,6 @@ impl Executor {
                 .collect()
         };
         Executor {
-            compiled,
             interned,
             interner,
             attrs_r: attr_names(ext_r),
@@ -749,11 +745,11 @@ impl Executor {
     }
 
     /// Sets the emission-path hint the planner sees:
-    /// [`EmitHint::Auto`] (the default) streams above the pair-volume
-    /// threshold, [`EmitHint::Streamed`] / [`EmitHint::Buffered`]
-    /// force one path. The classification outcome is identical either
-    /// way; only the intermediate representation (and its memory
-    /// traffic) differs.
+    /// [`EmitHint::Auto`] (the default) streams wherever a sink
+    /// geometry exists, [`EmitHint::Spilled`] forces out-of-core
+    /// shards. The classification outcome is identical either way;
+    /// only the intermediate representation (and its memory traffic)
+    /// differs.
     pub fn set_emit(&mut self, emit: EmitHint) {
         self.emit = emit;
     }
@@ -804,11 +800,6 @@ impl Executor {
     /// taken.
     pub fn take_trace(&self) -> Option<Trace> {
         self.trace_out.lock().ok().and_then(|mut slot| slot.take())
-    }
-
-    /// The compiled rule base (for inspection/tests).
-    pub fn compiled(&self) -> &CompiledRuleBase {
-        &self.compiled
     }
 
     /// The recorder this executor reports into.
@@ -1677,7 +1668,10 @@ impl Executor {
         fault_site: &str,
     ) -> std::result::Result<TaskRun, TaskFailure> {
         let workers = workers.min(tasks.len()).max(1);
-        let next = AtomicUsize::new(0);
+        // Task `w` is worker `w`'s first task; the shared queue hands
+        // out the rest. So every worker an attempt starts runs at
+        // least one task, however fast worker 0 drains the queue.
+        let next = AtomicUsize::new(workers);
         let poisoned = AtomicBool::new(false);
         // A spilled attempt gets one uniquely-named run directory;
         // the guard removes it (unless `--keep-spill`) when this
@@ -1712,11 +1706,14 @@ impl Executor {
                 )),
                 _ => WorkerSink::Mem(ShardedSink::new(geom)),
             });
+            let mut own = Some(worker as usize);
             loop {
                 if poisoned.load(Ordering::Relaxed) || guard.is_tripped() {
                     break;
                 }
-                let id = next.fetch_add(1, Ordering::Relaxed);
+                let id = own
+                    .take()
+                    .unwrap_or_else(|| next.fetch_add(1, Ordering::Relaxed));
                 let Some(task) = tasks.get(id) else { break };
                 guard.charge_pairs(task.est_pairs);
                 if guard.checkpoint().is_err() {

@@ -20,12 +20,10 @@
 //! blocking keys and parallelism freely — identity rules become
 //! inverted-index hash joins on their most selective columns,
 //! ILFD-induced distinctness rules disagreement probes, the rest a
-//! compiled pairwise scan. [`JoinAlgorithm::Hash`] pins the
-//! extended-key rule to a full-key hash join and scans everything
-//! else serially (the seed arm's shape). [`JoinAlgorithm::NestedLoop`]
-//! pins every rule to the exhaustive scan — the correctness oracle
-//! the other two are equivalence-tested against, and the baseline for
-//! the scaling benchmarks.
+//! compiled pairwise scan. [`JoinAlgorithm::NestedLoop`] pins every
+//! rule to the exhaustive scan — the correctness oracle the blocked
+//! arm is equivalence-tested against, and the baseline for the
+//! scaling benchmarks.
 //!
 //! Every arm runs under a [`RunGuard`] (see [`crate::runtime`]):
 //! budgets and cancellation are honoured at chunk boundaries, and a
@@ -49,7 +47,7 @@ use crate::error::{CoreError, Result};
 use crate::extend::{extend_relation, Extended};
 use crate::match_table::PairTable;
 use crate::plan::{
-    ArmHint, EmitHint, EmitMode, ExecMode, MatchPlan, PlanNodeKind, ProbeStrategy, StatsSource,
+    ArmHint, EmitHint, ExecMode, MatchPlan, PlanNodeKind, ProbeStrategy, StatsSource,
 };
 use crate::runtime::{AbortReason, RunBudget, RunGuard};
 use crate::sink::PairSet;
@@ -123,10 +121,6 @@ pub enum JoinAlgorithm {
     /// Output-sensitive.
     #[default]
     Blocked,
-    /// Pin the extended-key rule to a full-key hash join (linear
-    /// expected time) and everything else to serial pairwise scans —
-    /// the seed arm's shape.
-    Hash,
     /// Pin every rule to the exhaustive serial scan of all
     /// `|R|·|S|` pairs — the oracle.
     NestedLoop,
@@ -170,11 +164,10 @@ pub struct MatchConfig {
     /// engine task when on, nothing when off.
     pub trace: bool,
     /// Emission-path hint for the refutation phase:
-    /// [`EmitHint::Streamed`] folds dedup into emission via sharded
-    /// bitset sinks, [`EmitHint::Buffered`] materializes raw pair
-    /// lists, [`EmitHint::Auto`] (the default) streams above the
-    /// planner's pair-volume threshold. Classification is identical
-    /// either way.
+    /// [`EmitHint::Auto`] (the default) folds dedup into emission via
+    /// sharded bitset sinks wherever a sink geometry exists,
+    /// [`EmitHint::Spilled`] forces those shards out-of-core.
+    /// Classification is identical either way.
     pub emit: EmitHint,
     /// Whether sharded sinks may spill to disk when the pair volume
     /// exceeds [`RunBudget::max_pair_bytes`]. On (the default), a
@@ -486,19 +479,6 @@ impl EntityMatcher {
         recorder.add(counter::PLAN_CACHE_HITS, cache_hits);
         recorder.add(counter::PLAN_CACHE_MISSES, cache_misses);
         record_plan_labels(&recorder, &plan);
-        // An *explicit* emission hint the planner could not honour
-        // (structural gate: pinned arm, negatives off, no sink
-        // geometry) is surfaced once per run instead of silently
-        // ignored — the why is already in the `plan/emit` label.
-        let hint_honored = match self.config.emit {
-            EmitHint::Auto => true,
-            EmitHint::Buffered => plan.emit.mode == EmitMode::Buffered,
-            EmitHint::Streamed => plan.emit.mode == EmitMode::Streamed,
-            EmitHint::Spilled => plan.emit.mode == EmitMode::Spilled,
-        };
-        if !hint_honored {
-            recorder.add(counter::PLAN_EMIT_HINT_OVERRIDDEN, 1);
-        }
         let pairs = executor.execute(&plan, guard)?;
         let trace = executor.take_trace();
         drop(engine_stage);
@@ -760,7 +740,6 @@ impl EntityMatcher {
     fn arm_hint(&self) -> ArmHint {
         match self.config.join {
             JoinAlgorithm::Blocked => ArmHint::Auto,
-            JoinAlgorithm::Hash => ArmHint::Hash,
             JoinAlgorithm::NestedLoop => ArmHint::NestedLoop,
         }
     }
@@ -888,20 +867,30 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        for join in [JoinAlgorithm::Blocked, JoinAlgorithm::Hash] {
+        let same = |a: &PairTable, b: &PairTable| a.includes(b) && b.includes(a);
+        // The §4.2 relational-algebra construction is an independent
+        // second reference for the matching table.
+        let pipeline =
+            crate::algebra_pipeline::run(&r, &s, &config.extended_key, &config.ilfds).unwrap();
+        assert!(same(&pipeline.matching, &oracle.matching));
+        for threads in [1, 2] {
             let mut c = config.clone();
-            c.join = join;
+            c.threads = threads;
             let got = EntityMatcher::new(r.clone(), s.clone(), c)
                 .unwrap()
                 .run()
                 .unwrap();
-            assert!(got.matching.includes(&oracle.matching), "{join:?} matching");
-            assert!(oracle.matching.includes(&got.matching), "{join:?} matching");
-            assert!(got.negative.includes(&oracle.negative), "{join:?} negative");
-            assert!(oracle.negative.includes(&got.negative), "{join:?} negative");
+            assert!(
+                same(&got.matching, &oracle.matching),
+                "t={threads} matching"
+            );
+            assert!(
+                same(&got.negative, &oracle.negative),
+                "t={threads} negative"
+            );
             assert_eq!(
                 got.undetermined, oracle.undetermined,
-                "{join:?} undetermined"
+                "t={threads} undetermined"
             );
         }
     }

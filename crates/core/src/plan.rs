@@ -17,14 +17,15 @@
 //! rewrite rules instead of hand-rolled control flow:
 //!
 //! * [`MatchPlan::rewrite_serial`] — swap a parallel plan for its
-//!   serial twin (same nodes, same output bytes);
+//!   serial twin (same nodes, same emission, same output bytes);
 //! * [`MatchPlan::rewrite_index_free`] — demote every probe strategy
 //!   to `Scan` (the index-free nested-loop arm; same output *set*).
 //!
 //! Emission has its own ladder, lowered one rung at a time:
 //! [`MatchPlan::rewrite_streamed`] (spilled→streamed, shards stay
 //! resident) and [`MatchPlan::rewrite_buffered`] (streamed→buffered,
-//! the historical `Vec` path). Both are idempotent and compose:
+//! the raw `Vec` path the index-free arm and the incremental matcher
+//! run). Both are idempotent and compose:
 //! `rewrite_streamed().rewrite_buffered() == rewrite_buffered()`.
 //!
 //! Every node carries an `eid-obs` span path and a stable id, so the
@@ -128,10 +129,9 @@ pub enum PlanNodeKind {
     },
     /// Vectorized evaluation of one kernel-shaped rule: batch kernels
     /// compare `lanes` rows per step over cache-sized column tiles.
-    /// Emitted by the planner only when the rule's interned shape
-    /// matches a kernel and the estimated candidate volume clears
-    /// [`crate::planner::VECTOR_MIN_PAIRS`]. Output is byte-identical
-    /// to the scalar twin [`MatchPlan::rewrite_scalar`] produces.
+    /// Emitted by the planner whenever kernels are on and the rule's
+    /// interned shape matches a kernel. Output is byte-identical to
+    /// the scalar twin [`MatchPlan::rewrite_scalar`] produces.
     VectorScan {
         /// The rule this node runs.
         rule: RuleRef,
@@ -229,15 +229,12 @@ impl ExecMode {
 }
 
 /// The surviving role of [`JoinAlgorithm`](crate::JoinAlgorithm): a
-/// planner hint. `Auto` lets the cost model choose per rule; `Hash`
-/// and `NestedLoop` force the seed arms' shapes (and their report
-/// labels) for oracles and A/B runs.
+/// planner hint. `Auto` lets the cost model choose per rule;
+/// `NestedLoop` forces the oracle's shape (and its report label).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArmHint {
     /// Cost-based: probe where a shape exists, scan the rest.
     Auto,
-    /// The seed hash arm: key-rule probe plus a serial scan.
-    Hash,
     /// The exhaustive oracle: everything scans, serially.
     NestedLoop,
 }
@@ -256,7 +253,6 @@ impl ArmHint {
                     "blocked"
                 }
             }
-            ArmHint::Hash => "hash",
             ArmHint::NestedLoop => "nested_loop",
         }
     }
@@ -266,7 +262,10 @@ impl ArmHint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmitMode {
     /// Per-task `Vec`s merged in task order, deduped by the convert
-    /// stage — the historical path, byte-identical across releases.
+    /// stage. Never a planner choice for a streamable plan: only the
+    /// nested-loop oracle, the index-free rewrite, the incremental
+    /// matcher (whose rollback needs raw pair lists), and grids past
+    /// the dense-bitset ceiling buffer.
     Buffered,
     /// Workers emit straight into row-range bitset shards; dedup is
     /// free at emission and the shards merge post-scope. The raw
@@ -298,7 +297,8 @@ pub struct Emit {
 }
 
 impl Emit {
-    /// The buffered decision (the default and every rewrite target).
+    /// The buffered decision (the structural fallback and the
+    /// [`MatchPlan::rewrite_buffered`] target).
     pub fn buffered() -> Emit {
         Emit {
             mode: EmitMode::Buffered,
@@ -320,20 +320,17 @@ impl Emit {
 }
 
 /// Caller-side override of the emission decision (`--emit` on the
-/// CLI and bench). `Auto` lets the pair-volume threshold decide.
+/// CLI and bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EmitHint {
-    /// Cost-based: streamed above the pair-volume threshold, spilled
-    /// when the memory budget says the pairs won't fit.
+    /// Streamed wherever a refutation phase and a sink geometry
+    /// exist, spilled when the memory budget says the pairs won't
+    /// fit.
     #[default]
     Auto,
-    /// Force buffered emission.
-    Buffered,
-    /// Force streamed emission (where structurally possible — the
+    /// Force spilled emission (where structurally possible — the
     /// grid must fit the dense-bitset ceiling and a refutation phase
     /// must exist).
-    Streamed,
-    /// Force spilled emission (same structural limits as streamed).
     Spilled,
 }
 
@@ -391,13 +388,13 @@ pub struct MatchPlan {
 }
 
 impl MatchPlan {
-    /// The serial twin of this plan: same nodes, one worker. Output
-    /// is byte-identical — the task list never depends on the worker
-    /// count. This is rung 2 of the degradation ladder. Emission is
-    /// lowered to buffered first, so degradation twins always run
-    /// the historical `Vec` path.
+    /// The serial twin of this plan: same nodes, same emission, one
+    /// worker. Output is byte-identical — the task list never depends
+    /// on the worker count. This is rung 2 of the degradation ladder,
+    /// which the engine runs by rerunning the plan with one worker
+    /// and fresh sinks.
     pub fn rewrite_serial(&self) -> MatchPlan {
-        let mut plan = self.rewrite_buffered();
+        let mut plan = self.clone();
         plan.mode = ExecMode::Serial { auto_small: false };
         plan
     }
@@ -407,9 +404,9 @@ impl MatchPlan {
     /// emitted for a buffered plan, and [`MatchPlan::emit`] drops to
     /// buffered. Same output *set* (the buffered path preserves
     /// first-occurrence order, the sink paths decode ascending). A
-    /// buffered plan is returned unchanged. Used by the serial and
-    /// index-free rewrites and by the incremental matcher, whose
-    /// staged-commit rollback needs the raw pair lists.
+    /// buffered plan is returned unchanged. Used by the index-free
+    /// rewrite and by the incremental matcher, whose staged-commit
+    /// rollback needs the raw pair lists.
     ///
     /// [`Sink`]: PlanNodeKind::Sink
     pub fn rewrite_buffered(&self) -> MatchPlan {
@@ -508,8 +505,7 @@ impl MatchPlan {
     /// on a path with no indexes *and* no kernels. Used by rung 3 of
     /// the ladder and by the memory-budget degradation (which keeps
     /// the current mode). Emission is lowered to buffered as well —
-    /// the index-free arm is a degradation target and must run the
-    /// historical path.
+    /// the index-free arm runs the nested-loop oracle's path.
     pub fn rewrite_index_free(&self) -> MatchPlan {
         let mut plan = self.rewrite_buffered();
         plan.index_free = true;
@@ -743,7 +739,7 @@ mod tests {
             record_identity: true,
             record_distinct: true,
             emit: Emit::buffered(),
-            emit_why: "est 100 raw negative pairs below the stream threshold".into(),
+            emit_why: "no refutation phase: nothing worth streaming".into(),
             stats_source: StatsSource::default(),
         }
     }
@@ -754,6 +750,7 @@ mod tests {
         let serial = plan.rewrite_serial();
         assert_eq!(serial.mode, ExecMode::Serial { auto_small: false });
         assert_eq!(serial.nodes, plan.nodes); // nodes untouched
+        assert_eq!(serial.emit, plan.emit); // emission untouched
         let nested = plan.rewrite_index_free().rewrite_serial();
         assert!(nested.index_free);
         assert!(nested.probe_nodes().all(|n| matches!(
@@ -776,12 +773,12 @@ mod tests {
             dir: String::new(),
             shard_bytes: 0,
         };
-        plan.emit_why = "est 21000000 raw negative pairs ≥ threshold".into();
+        plan.emit_why = "workers emit into 5 row-range bitset shards".into();
         plan.nodes.push(PlanNode {
             id: 2,
             kind: PlanNodeKind::Sink { shards: 5 },
             label: "sink(5 shards)".into(),
-            why: "est 21000000 raw negative pairs ≥ threshold".into(),
+            why: "workers emit into 5 row-range bitset shards".into(),
             span: "match/engine/sink_merge".into(),
             inputs: vec![1],
             est_pairs: None,
@@ -797,8 +794,11 @@ mod tests {
         assert!(matches!(buffered.nodes[2].kind, PlanNodeKind::Dedup));
         assert_eq!(buffered.nodes[2].label, "dedup");
         assert!(buffered.nodes[2].why.starts_with("buffered rewrite; was: "));
-        // Both degradation rewrites land on buffered emission.
-        assert_eq!(plan.rewrite_serial().emit, Emit::buffered());
+        // The serial twin keeps streaming; the index-free twin lands
+        // on buffered emission.
+        let serial = plan.rewrite_serial();
+        assert_eq!(serial.emit, plan.emit);
+        assert_eq!(serial.nodes, plan.nodes);
         let nested = plan.rewrite_index_free();
         assert_eq!(nested.emit, Emit::buffered());
         assert!(!nested
@@ -857,8 +857,9 @@ mod tests {
         let composed = plan.rewrite_streamed().rewrite_buffered();
         assert_eq!(composed.emit, Emit::buffered());
         assert!(matches!(composed.nodes[2].kind, PlanNodeKind::Dedup));
-        // Degradation rewrites lower spilled all the way to buffered.
-        assert_eq!(plan.rewrite_serial().emit, Emit::buffered());
+        // The serial twin keeps spilling; the index-free twin lowers
+        // spilled all the way to buffered.
+        assert_eq!(plan.rewrite_serial().emit, plan.emit);
         assert_eq!(plan.rewrite_index_free().emit, Emit::buffered());
         // The original plan is untouched.
         assert_eq!(plan.emit.mode, EmitMode::Spilled);
@@ -884,7 +885,6 @@ mod tests {
         assert_eq!(ArmHint::Auto.arm_label(false, 4), "blocked_parallel");
         assert_eq!(ArmHint::Auto.arm_label(false, 1), "blocked");
         assert_eq!(ArmHint::Auto.arm_label(true, 4), "nested_loop");
-        assert_eq!(ArmHint::Hash.arm_label(false, 1), "hash");
         assert_eq!(ArmHint::NestedLoop.arm_label(false, 1), "nested_loop");
     }
 

@@ -16,13 +16,16 @@
 //!   merge overhead exceeds the work); explicit thread counts are
 //!   honoured verbatim.
 //! * **Probe vs. scan** — rules without an indexable shape fuse into
-//!   one residual pairwise scan.
+//!   one residual pairwise scan; with kernels on, every kernel-shaped
+//!   distinctness rule (and every identity rule whose blocking key
+//!   cannot narrow a bucket) becomes a vectorized scan.
+//! * **Emission** — refuted pairs stream into row-range bitset shards
+//!   wherever a sink geometry exists, and spill to disk when the
+//!   memory budget says they won't fit.
 //!
 //! [`JoinAlgorithm`](crate::JoinAlgorithm) survives only as the
-//! [`ArmHint`] override: `Hash` forces the seed arm's shape (key-rule
-//! probe + serial residual scan), `NestedLoop` forces everything to
-//! scan — both still execute through the one
-//! [`Executor`](crate::engine::Executor).
+//! [`ArmHint`] override: `NestedLoop` forces everything to scan,
+//! serially, through the same [`Executor`](crate::engine::Executor).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -41,20 +44,6 @@ use crate::stats::span;
 /// serially: thread spawn + merge overhead exceeds the work itself on
 /// small inputs. Explicit thread counts are always honoured.
 pub const PARALLEL_MIN_PAIRS: usize = 50_000;
-
-/// Below this many estimated candidate pairs a kernel-shaped rule
-/// stays on the scalar probe path: the vectorized scan's fixed costs
-/// (driver-mask build, tile bookkeeping) only pay for themselves once
-/// the candidate volume is substantial.
-pub const VECTOR_MIN_PAIRS: usize = 32_768;
-
-/// Below this many estimated raw negative pairs (summed over the
-/// distinctness rules) the auto emit decision stays buffered: the
-/// per-task `Vec`s fit cache and the streamed sink's shard setup +
-/// post-scope merge would cost more than the dedup it saves. Above
-/// it, buffering is the bottleneck — the raw list is re-read twice
-/// (merge, dedup) — and emission streams into bitset shards instead.
-pub const STREAM_MIN_PAIRS: u64 = 2_000_000;
 
 /// The cost-based planner over one encoded relation pair. Borrows
 /// the interned rule base and per-column statistics from the
@@ -92,8 +81,8 @@ impl<'e> Planner<'e> {
     /// statistics. `threads` carries the caller's thread request
     /// (`0` = auto); `use_kernels` gates [`PlanNodeKind::VectorScan`]
     /// dispatch (off ⇒ the scalar twin plan, byte-identical output);
-    /// `emit` overrides the buffered-vs-streamed emission decision
-    /// (`Auto` = the [`STREAM_MIN_PAIRS`] threshold decides).
+    /// `emit` forces spilled emission (`Auto` = the memory budget
+    /// decides between streamed and spilled).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         interned: &'e InternedRuleBase,
@@ -271,7 +260,7 @@ impl<'e> Planner<'e> {
         if !matches!(hint, ArmHint::Auto) {
             return (
                 ExecMode::Serial { auto_small: false },
-                format!("{hint:?} hint: seed arm runs serially"),
+                format!("{hint:?} hint: the oracle arm runs serially"),
             );
         }
         match self.threads {
@@ -309,16 +298,12 @@ impl<'e> Planner<'e> {
         }
     }
 
-    /// The emission decision: spilled when the estimated pair bytes
-    /// exceed the memory budget (and spilling is allowed), streamed
-    /// when a refutation phase will emit enough raw pairs that
-    /// buffering them is the bottleneck, buffered for the seed arms
-    /// (their output bytes are frozen), when there is no refutation
-    /// phase, or when the pair grid falls outside the dense-bitset
-    /// range. The caller's [`EmitHint`] overrides the thresholds,
-    /// never the structural gates — but a structurally-overridden
-    /// explicit hint is called out in `emit_why` (and surfaced as the
-    /// warn-once `plan/emit_hint_overridden` counter by the matcher).
+    /// The emission decision: buffered for the nested-loop oracle,
+    /// when there is no refutation phase, or when the pair grid falls
+    /// outside the dense-bitset range — the structural fallbacks
+    /// `emit_why` names. Otherwise spilled when the caller forces it
+    /// or the estimated pair bytes exceed the memory budget (and
+    /// spilling is allowed), streamed everywhere else.
     fn choose_emit(
         &self,
         hint: ArmHint,
@@ -326,45 +311,26 @@ impl<'e> Planner<'e> {
         est_raw_negative: u64,
         workers: usize,
     ) -> (Emit, String) {
-        let hinted = !matches!(self.emit, EmitHint::Auto);
-        let overridden = |why: String| {
-            if hinted {
-                format!(
-                    "{why} (explicit emit={:?} hint overridden by a structural gate)",
-                    self.emit
-                )
-            } else {
-                why
-            }
-        };
         if !matches!(hint, ArmHint::Auto) {
             return (
                 Emit::buffered(),
-                overridden(format!(
-                    "{hint:?} hint: seed arms convert through the buffered dedup"
-                )),
+                format!("{hint:?} hint: the oracle arm converts through the buffered dedup"),
             );
         }
         if !record_distinct {
             return (
                 Emit::buffered(),
-                overridden("no refutation phase: nothing worth streaming".into()),
+                "no refutation phase: nothing worth streaming".into(),
             );
         }
         let Some(geom) = SinkGeometry::new(self.rows_r, self.rows_s) else {
             return (
                 Emit::buffered(),
-                overridden(format!(
+                format!(
                     "{}×{} pair grid outside the dense-bitset range",
                     self.rows_r, self.rows_s
-                )),
+                ),
             );
-        };
-        let streamed = Emit {
-            mode: EmitMode::Streamed,
-            shards: geom.shard_count,
-            dir: String::new(),
-            shard_bytes: 0,
         };
         // The per-worker resident cap for spilled emission: the
         // budget minus the merge grid, split across workers, floored
@@ -380,55 +346,44 @@ impl<'e> Planner<'e> {
             dir: self.spill_dir.clone().unwrap_or_default(),
             shard_bytes,
         };
-        match self.emit {
-            EmitHint::Buffered => (Emit::buffered(), "emit=buffered requested".into()),
-            EmitHint::Streamed => (streamed, "emit=streamed requested".into()),
-            EmitHint::Spilled => {
-                let cap = self.budget_bytes.map_or(shard_floor, cap_for);
-                (spill_emit(cap), "emit=spilled requested".into())
-            }
-            EmitHint::Auto => {
-                let est_bytes = est_raw_negative.saturating_mul(8);
-                if let Some(budget) = self.budget_bytes {
-                    if self.spill && est_bytes > budget {
-                        let cap = cap_for(budget);
-                        return (
-                            spill_emit(cap),
-                            format!(
-                                "est {est_bytes} pair bytes over the {budget}-byte budget: \
-                                 shards spill past a {cap}-byte per-worker resident cap, \
-                                 merged out-of-core in row-range order"
-                            ),
-                        );
-                    }
-                }
-                if est_raw_negative >= STREAM_MIN_PAIRS {
-                    (
-                        streamed,
-                        format!(
-                            "est {est_raw_negative} raw negative pairs ≥ {STREAM_MIN_PAIRS}: \
-                             workers emit into {} row-range bitset shards, dedup free at emission",
-                            geom.shard_count
-                        ),
-                    )
-                } else {
-                    (
-                        Emit::buffered(),
-                        format!(
-                            "est {est_raw_negative} raw negative pairs < {STREAM_MIN_PAIRS}: \
-                             per-task buffers stay cache-resident"
-                        ),
-                    )
-                }
+        if self.emit == EmitHint::Spilled {
+            let cap = self.budget_bytes.map_or(shard_floor, cap_for);
+            return (spill_emit(cap), "emit=spilled requested".into());
+        }
+        let est_bytes = est_raw_negative.saturating_mul(8);
+        if let Some(budget) = self.budget_bytes {
+            if self.spill && est_bytes > budget {
+                let cap = cap_for(budget);
+                return (
+                    spill_emit(cap),
+                    format!(
+                        "est {est_bytes} pair bytes over the {budget}-byte budget: \
+                         shards spill past a {cap}-byte per-worker resident cap, \
+                         merged out-of-core in row-range order"
+                    ),
+                );
             }
         }
+        (
+            Emit {
+                mode: EmitMode::Streamed,
+                shards: geom.shard_count,
+                dir: String::new(),
+                shard_bytes: 0,
+            },
+            format!(
+                "est {est_raw_negative} raw negative pairs: workers emit into {} \
+                 row-range bitset shards, dedup free at emission",
+                geom.shard_count
+            ),
+        )
     }
 
     /// Appends the shared vectorization rationale (shape, lane width,
     /// tile derivation) to a `why` string.
     fn vector_why(shape: KernelShape, est: usize, active_cols: usize, tile: usize) -> String {
         format!(
-            "vector {} kernel ({}): est {est} candidate pairs ≥ {VECTOR_MIN_PAIRS}; \
+            "vector {} kernel ({}): est {est} candidate pairs; \
              lanes={}, tile={tile} rows ({active_cols} active column(s) × 4 B ≤ {} KiB L2 budget)",
             shape.as_str(),
             kernels::simd_level(),
@@ -438,13 +393,11 @@ impl<'e> Planner<'e> {
     }
 
     /// The choice (explanation + candidate-pair estimate) for one
-    /// identity rule under a hint. `force_probe` marks the `Hash`
-    /// hint's key rule.
+    /// identity rule under a hint.
     fn identity_strategy(
         &self,
         rule: &eid_rules::InternedRule,
         hint: ArmHint,
-        force_probe: bool,
     ) -> (Choice, String, u64) {
         let shape = rule.identity_shape();
         let (choice, why, est) = match hint {
@@ -453,33 +406,6 @@ impl<'e> Planner<'e> {
                 "nested-loop hint: exhaustive pairwise scan".into(),
                 self.cross_est(),
             ),
-            ArmHint::Hash => {
-                if force_probe {
-                    if let Some(shape) = shape {
-                        let positions = shape.probe_positions();
-                        if !positions.is_empty() {
-                            let names = positions
-                                .iter()
-                                .map(|&p| self.attr_s(p))
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            let est = self.probe_est(&positions);
-                            return (
-                                Choice::Strategy(ProbeStrategy::Probe {
-                                    key_positions: positions,
-                                }),
-                                format!("hash hint: full extended-key join on ⟨{names}⟩"),
-                                est,
-                            );
-                        }
-                    }
-                }
-                (
-                    ProbeStrategy::Scan,
-                    "hash hint: extra rules run in the serial residual scan".into(),
-                    self.cross_est(),
-                )
-            }
             ArmHint::Auto => match shape {
                 Some(shape) if shape.join.is_empty() => (
                     ProbeStrategy::Cross,
@@ -497,16 +423,14 @@ impl<'e> Planner<'e> {
                     } else {
                         // A key whose every column has ≤ 1 distinct
                         // symbol degenerates to one bucket — a full
-                        // scan behind a hash lookup. When the volume
-                        // is large enough, do the scan vectorized
-                        // instead (the probe stays the byte-identical
-                        // scalar twin).
+                        // scan behind a hash lookup. Do the scan
+                        // vectorized instead (the probe stays the
+                        // byte-identical scalar twin).
                         let selective = positions.iter().any(|&p| self.stat_s(p).distinct > 1);
                         let est = self.rows_r.saturating_mul(self.rows_s);
-                        if let (false, Some(kshape), true) = (
+                        if let (false, Some(kshape)) = (
                             selective,
                             self.kernels.then(|| rule.kernel_shape()).flatten(),
-                            est >= VECTOR_MIN_PAIRS,
                         ) {
                             let active = shape.join.len() + shape.s_lits.len();
                             let tile = kernels::tile_rows(active);
@@ -592,10 +516,7 @@ impl<'e> Planner<'e> {
                     .unwrap_or(1)
                     .max(1);
                 let est = neq_rows.saturating_mul(lit_rows / lit_selectivity);
-                if let (Some(kshape), true) = (
-                    self.kernels.then(|| rule.kernel_shape()).flatten(),
-                    est >= VECTOR_MIN_PAIRS,
-                ) {
+                if let Some(kshape) = self.kernels.then(|| rule.kernel_shape()).flatten() {
                     let tile = kernels::tile_rows(1);
                     let vwhy = format!(
                         "disagreement drivers masked a column chunk at a time, \
@@ -682,23 +603,11 @@ impl<'e> Planner<'e> {
         );
 
         // Probe/refute strategies, in the order the executor lowers
-        // them (the Hash hint pulls the extended-key rule — the last
-        // identity rule — to the front, matching the seed arm).
+        // them.
         let mut rule_plan: Vec<(RuleRef, Choice, String, u64)> = Vec::new();
         if record_identity {
-            let n = self.interned.identity.len();
-            let order: Vec<usize> = match hint {
-                ArmHint::Hash if n > 0 => {
-                    let mut order = vec![n - 1];
-                    order.extend(0..n - 1);
-                    order
-                }
-                _ => (0..n).collect(),
-            };
-            for idx in order {
-                let rule = &self.interned.identity[idx];
-                let force_probe = matches!(hint, ArmHint::Hash) && idx == n - 1;
-                let (choice, why, est) = self.identity_strategy(rule, hint, force_probe);
+            for (idx, rule) in self.interned.identity.iter().enumerate() {
+                let (choice, why, est) = self.identity_strategy(rule, hint);
                 rule_plan.push((
                     RuleRef {
                         family: RuleFamily::Identity,

@@ -162,9 +162,11 @@ impl fmt::Display for PartialStats {
 #[derive(Debug)]
 struct GuardInner {
     cancelled: AtomicBool,
-    /// Fast-path flag mirroring `reason`'s occupancy.
+    /// Fast-path flag mirroring `trip`'s occupancy.
     tripped: AtomicBool,
-    reason: Mutex<Option<AbortReason>>,
+    /// The first trip's reason and the `(pairs, bytes)` meters it
+    /// observed.
+    trip: Mutex<Option<(AbortReason, u64, u64)>>,
     started: Instant,
     deadline: Option<Instant>,
     timeout_ms: Option<u64>,
@@ -206,7 +208,7 @@ impl RunGuard {
             inner: Arc::new(GuardInner {
                 cancelled: AtomicBool::new(false),
                 tripped: AtomicBool::new(false),
-                reason: Mutex::new(None),
+                trip: Mutex::new(None),
                 started,
                 deadline: budget
                     .timeout_ms
@@ -230,8 +232,16 @@ impl RunGuard {
     /// Records `reason` as this run's abort cause (first trip wins)
     /// and returns the winning reason.
     pub fn trip(&self, reason: AbortReason) -> AbortReason {
-        let mut slot = self.inner.reason.lock().unwrap_or_else(|e| e.into_inner());
-        let winner = slot.get_or_insert(reason).clone();
+        self.trip_at(reason, self.pairs_charged(), self.bytes_charged())
+    }
+
+    /// [`RunGuard::trip`] with the meters the caller observed, which
+    /// the first trip freezes for [`RunGuard::partial_stats`]: workers
+    /// still charging concurrently cannot move the partial stats away
+    /// from the numbers the abort reason reports.
+    fn trip_at(&self, reason: AbortReason, pairs: u64, bytes: u64) -> AbortReason {
+        let mut slot = self.inner.trip.lock().unwrap_or_else(|e| e.into_inner());
+        let winner = slot.get_or_insert((reason, pairs, bytes)).0.clone();
         self.inner.tripped.store(true, Ordering::Release);
         winner
     }
@@ -247,10 +257,11 @@ impl RunGuard {
             return None;
         }
         self.inner
-            .reason
+            .trip
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone()
+            .as_ref()
+            .map(|(reason, _, _)| reason.clone())
     }
 
     /// Charges `n` candidate pairs against the budget. Checked at the
@@ -338,28 +349,45 @@ impl RunGuard {
                 }));
             }
         }
+        let (pairs, bytes) = (self.pairs_charged(), self.bytes_charged());
         if let Some(limit) = self.inner.max_pairs {
-            let observed = self.pairs_charged();
-            if observed > limit {
-                return Err(self.trip(AbortReason::PairBudgetExceeded { limit, observed }));
+            if pairs > limit {
+                let reason = AbortReason::PairBudgetExceeded {
+                    limit,
+                    observed: pairs,
+                };
+                return Err(self.trip_at(reason, pairs, bytes));
             }
         }
         if let Some(limit) = self.inner.max_bytes {
-            let observed = self.bytes_charged();
-            if observed > limit {
-                return Err(self.trip(AbortReason::MemBudgetExceeded { limit, observed }));
+            if bytes > limit {
+                let reason = AbortReason::MemBudgetExceeded {
+                    limit,
+                    observed: bytes,
+                };
+                return Err(self.trip_at(reason, pairs, bytes));
             }
         }
         Ok(())
     }
 
-    /// A [`PartialStats`] snapshot of this guard's meters; the caller
-    /// fills in the task/table fields it knows.
+    /// A [`PartialStats`] snapshot of this guard's meters — as the
+    /// first trip observed them, once the guard has tripped; the
+    /// caller fills in the task/table fields it knows.
     pub fn partial_stats(&self) -> PartialStats {
+        let frozen = self
+            .inner
+            .trip
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .map(|&(_, pairs, bytes)| (pairs, bytes));
+        let (pairs_charged, bytes_charged) =
+            frozen.unwrap_or_else(|| (self.pairs_charged(), self.bytes_charged()));
         PartialStats {
             elapsed_ms: self.elapsed_ms(),
-            pairs_charged: self.pairs_charged(),
-            bytes_charged: self.bytes_charged(),
+            pairs_charged,
+            bytes_charged,
             ..PartialStats::default()
         }
     }

@@ -133,9 +133,8 @@ pub mod counter {
     /// including rule constants and the NULL symbol).
     pub const ALLOC_VALUES_INTERNED: &str = "alloc/values_interned";
     /// Key tuples materialized while building pair tables — the
-    /// allocation volume of the convert step. The blocked arm pays
-    /// one per *row* (shared pools); the hash/nested-loop arms pay
-    /// per *inserted pair entry* (two per insertion attempt).
+    /// allocation volume of the convert step: one per *row* (shared
+    /// key pools), whichever arm ran.
     pub const ALLOC_TUPLES_MATERIALIZED: &str = "alloc/tuples_materialized";
 
     /// Plan cache: runs answered from the matcher's cached plan.
@@ -185,11 +184,6 @@ pub mod counter {
     /// Runtime: 1 when spilled emission failed (spill I/O exhausted
     /// its retries) and the run fell back to the streamed rung.
     pub const RUNTIME_SPILL_FALLBACK: &str = "runtime/spill_fallback";
-    /// Planner: an explicit `--emit` hint was structurally impossible
-    /// (forced arm, no refutation phase, or no dense-bitset geometry)
-    /// and was overridden — warn-once, so A/B runs can tell they did
-    /// not compare what they claimed to.
-    pub const PLAN_EMIT_HINT_OVERRIDDEN: &str = "plan/emit_hint_overridden";
 
     /// Trace: slice groups dropped because a per-worker sink filled
     /// (0 on any reasonable run; boundedness made observable).

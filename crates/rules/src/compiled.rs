@@ -1,4 +1,4 @@
-//! Rule precompilation: positional evaluators and block plans.
+//! Rule precompilation: positional rules, one per live orientation.
 //!
 //! [`crate::rulebase::RuleBase::decide`] resolves attribute names
 //! against schemas on **every** predicate evaluation — fine for one
@@ -13,14 +13,13 @@
 //! * predicates over attributes missing from a schema make the whole
 //!   (three-valued) conjunction unknowable — such compiled rules are
 //!   **dead** and dropped;
-//! * constant-only predicates are folded at compile time;
-//! * rules whose shape admits index-based candidate generation expose
-//!   it via [`CompiledRule::identity_shape`] /
-//!   [`CompiledRule::distinct_shape`], which the blocked engine in
-//!   `eid-core` turns into hash-index probes instead of pairwise
-//!   scans.
+//! * constant-only predicates are folded at compile time.
+//!
+//! Compiled rules are not evaluated directly: they are the input of
+//! [`crate::interned`], which lowers them into symbol space, where
+//! the engine evaluates them and reads off their indexable shapes.
 
-use eid_relational::{Schema, Tuple, Value};
+use eid_relational::{Schema, Value};
 
 use crate::pred::{CmpOp, Operand, Predicate, Side};
 use crate::rulebase::RuleBase;
@@ -37,15 +36,6 @@ pub enum CompiledOperand {
 }
 
 impl CompiledOperand {
-    fn resolve<'a>(&'a self, tr: &'a Tuple, ts: &'a Tuple) -> Option<&'a Value> {
-        let v = match self {
-            CompiledOperand::R(p) => tr.get(*p),
-            CompiledOperand::S(p) => ts.get(*p),
-            CompiledOperand::Const(v) => return Some(v),
-        };
-        (!v.is_null()).then_some(v)
-    }
-
     /// A stable sort key for canonicalization.
     fn rank(&self) -> (u8, usize, Option<&Value>) {
         match self {
@@ -68,15 +58,6 @@ pub struct CompiledPredicate {
 }
 
 impl CompiledPredicate {
-    /// Three-valued evaluation over a positional tuple pair.
-    #[inline]
-    pub fn eval(&self, tr: &Tuple, ts: &Tuple) -> Option<bool> {
-        let l = self.lhs.resolve(tr, ts)?;
-        let r = self.rhs.resolve(tr, ts)?;
-        let ord = l.compare(r)?;
-        Some(self.op.test(ord))
-    }
-
     /// Rewrites `>`/`≥` to `<`/`≤` (operand swap) and orders the
     /// operands of symmetric operators canonically, so syntactically
     /// mirrored predicates compare equal.
@@ -117,26 +98,6 @@ impl CompiledRule {
         &self.predicates
     }
 
-    /// Three-valued conjunction: `Some(false)` short-circuits,
-    /// any unknown predicate makes the conjunction unknown.
-    pub fn eval(&self, tr: &Tuple, ts: &Tuple) -> Option<bool> {
-        let mut all_true = true;
-        for p in &self.predicates {
-            match p.eval(tr, ts) {
-                Some(true) => {}
-                Some(false) => return Some(false),
-                None => all_true = false,
-            }
-        }
-        all_true.then_some(true)
-    }
-
-    /// Whether the rule fires (conjunction definitely true).
-    #[inline]
-    pub fn fires(&self, tr: &Tuple, ts: &Tuple) -> bool {
-        self.eval(tr, ts) == Some(true)
-    }
-
     fn canonical(&self) -> Vec<CompiledPredicate> {
         let mut c: Vec<CompiledPredicate> = self
             .predicates
@@ -148,117 +109,6 @@ impl CompiledRule {
         });
         c
     }
-
-    /// The equi-join shape, when every predicate is an equality
-    /// literal or a cross-relation attribute equality. Pairs
-    /// surviving the shape's filters+join *candidate* generation
-    /// still get a final [`CompiledRule::fires`] check (cheap, and it
-    /// keeps index equality and three-valued comparison semantics
-    /// from having to coincide exactly).
-    pub fn identity_shape(&self) -> Option<IdentityShape> {
-        let mut shape = IdentityShape::default();
-        for p in &self.predicates {
-            match (&p.lhs, p.op, &p.rhs) {
-                (CompiledOperand::R(pos), CmpOp::Eq, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Eq, CompiledOperand::R(pos)) => {
-                    shape.r_lits.push((*pos, v.clone()));
-                }
-                (CompiledOperand::S(pos), CmpOp::Eq, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Eq, CompiledOperand::S(pos)) => {
-                    shape.s_lits.push((*pos, v.clone()));
-                }
-                (CompiledOperand::R(rp), CmpOp::Eq, CompiledOperand::S(sp))
-                | (CompiledOperand::S(sp), CmpOp::Eq, CompiledOperand::R(rp)) => {
-                    shape.join.push((*rp, *sp));
-                }
-                _ => return None,
-            }
-        }
-        Some(shape)
-    }
-
-    /// The ILFD-induced refutation shape: equality literals on both
-    /// relations plus exactly one `≠`-constant literal. The blocked
-    /// engine enumerates only tuples that disagree on that column.
-    pub fn distinct_shape(&self) -> Option<DistinctShape> {
-        let mut r_lits = Vec::new();
-        let mut s_lits = Vec::new();
-        let mut neq: Option<(NeqSide, usize, Value)> = None;
-        for p in &self.predicates {
-            match (&p.lhs, p.op, &p.rhs) {
-                (CompiledOperand::R(pos), CmpOp::Eq, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Eq, CompiledOperand::R(pos)) => {
-                    r_lits.push((*pos, v.clone()));
-                }
-                (CompiledOperand::S(pos), CmpOp::Eq, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Eq, CompiledOperand::S(pos)) => {
-                    s_lits.push((*pos, v.clone()));
-                }
-                (CompiledOperand::R(pos), CmpOp::Ne, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Ne, CompiledOperand::R(pos)) => {
-                    if neq.is_some() {
-                        return None;
-                    }
-                    neq = Some((NeqSide::R, *pos, v.clone()));
-                }
-                (CompiledOperand::S(pos), CmpOp::Ne, CompiledOperand::Const(v))
-                | (CompiledOperand::Const(v), CmpOp::Ne, CompiledOperand::S(pos)) => {
-                    if neq.is_some() {
-                        return None;
-                    }
-                    neq = Some((NeqSide::S, *pos, v.clone()));
-                }
-                _ => return None,
-            }
-        }
-        let neq = neq?;
-        // The opposite relation needs at least one literal to probe.
-        let opposite_lits = match neq.0 {
-            NeqSide::R => &s_lits,
-            NeqSide::S => &r_lits,
-        };
-        if opposite_lits.is_empty() {
-            return None;
-        }
-        Some(DistinctShape {
-            r_lits,
-            s_lits,
-            neq,
-        })
-    }
-}
-
-/// Which relation carries the `≠`-constant literal of a
-/// [`DistinctShape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeqSide {
-    /// The `≠` literal reads the `R`-side tuple.
-    R,
-    /// The `≠` literal reads the `S`-side tuple.
-    S,
-}
-
-/// An indexable identity-rule shape: constant filters on each side
-/// plus cross-relation join columns.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IdentityShape {
-    /// `(column, value)` equality literals on `R`-side tuples.
-    pub r_lits: Vec<(usize, Value)>,
-    /// `(column, value)` equality literals on `S`-side tuples.
-    pub s_lits: Vec<(usize, Value)>,
-    /// `(r_column, s_column)` cross-relation equality pairs.
-    pub join: Vec<(usize, usize)>,
-}
-
-/// An indexable distinctness-rule shape (the Proposition-1 ILFD dual).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistinctShape {
-    /// `(column, value)` equality literals on `R`-side tuples.
-    pub r_lits: Vec<(usize, Value)>,
-    /// `(column, value)` equality literals on `S`-side tuples.
-    pub s_lits: Vec<(usize, Value)>,
-    /// The single `≠`-constant literal: which relation, column, value.
-    pub neq: (NeqSide, usize, Value),
 }
 
 /// What one [`CompiledRuleBase::compile`] pass did — the compile-time
@@ -450,39 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_agrees_with_interpreted() {
-        let (s1, s2) = schemas();
-        let c = CompiledRuleBase::compile(&rb(), &s1, &s2);
-        let pairs = [
-            (
-                Tuple::of_strs(&["a", "indian", "x"]),
-                Tuple::of_strs(&["a", "indian", "y"]),
-            ),
-            (
-                Tuple::of_strs(&["a", "indian", "x"]),
-                Tuple::of_strs(&["a", "greek", "y"]),
-            ),
-            (
-                Tuple::of_strs(&["a", "greek", "x"]),
-                Tuple::of_strs(&["b", "indian", "y"]),
-            ),
-        ];
-        let rb = rb();
-        for (tr, ts) in &pairs {
-            assert_eq!(
-                c.identity.iter().any(|r| r.fires(tr, ts)),
-                rb.fires_identity(&s1, tr, &s2, ts),
-                "identity mismatch on {tr:?} {ts:?}"
-            );
-            assert_eq!(
-                c.distinctness.iter().any(|r| r.fires(tr, ts)),
-                rb.fires_distinctness(&s1, tr, &s2, ts),
-                "distinctness mismatch on {tr:?} {ts:?}"
-            );
-        }
-    }
-
-    #[test]
     fn symmetric_rule_compiles_once() {
         let (s1, s2) = schemas();
         let c = CompiledRuleBase::compile(&rb(), &s1, &s2);
@@ -490,17 +307,6 @@ mod tests {
         assert_eq!(c.identity.len(), 1);
         // The r3 rule is directional: both orientations survive.
         assert_eq!(c.distinctness.len(), 2);
-    }
-
-    #[test]
-    fn asymmetric_orientation_covers_swapped_pairs() {
-        let (s1, s2) = schemas();
-        let c = CompiledRuleBase::compile(&rb(), &s1, &s2);
-        // e1=indian ∧ e2≠indian fires in the swapped orientation when
-        // the *S* tuple is the Indian one.
-        let tr = Tuple::of_strs(&["a", "greek", "x"]);
-        let ts = Tuple::of_strs(&["b", "indian", "y"]);
-        assert!(c.distinctness.iter().any(|r| r.fires(&tr, &ts)));
     }
 
     #[test]
@@ -521,37 +327,6 @@ mod tests {
         );
         let c = CompiledRuleBase::compile(&base, &s1, &s2);
         assert_eq!(c.distinctness.len(), 1);
-    }
-
-    #[test]
-    fn shapes_extracted() {
-        let (s1, s2) = schemas();
-        let c = CompiledRuleBase::compile(&rb(), &s1, &s2);
-        let id = c.identity[0].identity_shape().unwrap();
-        assert_eq!(id.join.len(), 2);
-        assert!(id.r_lits.is_empty() && id.s_lits.is_empty());
-        let d = c.distinctness[0].distinct_shape().unwrap();
-        assert_eq!(d.neq.2, Value::str("indian"));
-    }
-
-    #[test]
-    fn non_indexable_rule_has_no_shape() {
-        let (s1, s2) = schemas();
-        let mut base = RuleBase::new();
-        base.add_distinctness(
-            DistinctnessRule::new(
-                "ordered",
-                vec![Predicate::new(
-                    Operand::attr(Side::E1, "name"),
-                    CmpOp::Lt,
-                    Operand::attr(Side::E2, "name"),
-                )],
-            )
-            .unwrap(),
-        );
-        let c = CompiledRuleBase::compile(&base, &s1, &s2);
-        assert!(c.distinctness[0].identity_shape().is_none());
-        assert!(c.distinctness[0].distinct_shape().is_none());
     }
 
     #[test]
@@ -583,15 +358,5 @@ mod tests {
         assert_eq!(c.stats.compiled, 1);
         assert_eq!(c.stats.dead_orientations, 1);
         assert_eq!(c.stats.symmetric_folded, 0);
-    }
-
-    #[test]
-    fn null_values_keep_three_valued_semantics() {
-        let (s1, s2) = schemas();
-        let c = CompiledRuleBase::compile(&rb(), &s1, &s2);
-        let tr = Tuple::new(vec![Value::str("a"), Value::Null, Value::str("x")]);
-        let ts = Tuple::of_strs(&["a", "indian", "y"]);
-        assert!(!c.identity.iter().any(|r| r.fires(&tr, &ts)));
-        assert!(!c.distinctness.iter().any(|r| r.fires(&tr, &ts)));
     }
 }

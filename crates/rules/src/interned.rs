@@ -1,10 +1,9 @@
 //! Interned rule evaluation: compiled rules lowered into symbol-id
 //! space.
 //!
-//! A [`CompiledRule`] still compares [`eid_relational::Value`]s —
-//! each `Eq` test on a string column chases an `Arc<str>` and compares
-//! bytes. An [`InternedRule`] is the same positional conjunction with
-//! every constant interned and every attribute read answered from a
+//! A [`CompiledRule`] holds [`eid_relational::Value`] constants. An
+//! [`InternedRule`] is the same positional conjunction with every
+//! constant interned and every attribute read answered from a
 //! columnar [`Columns`] view, so the hot predicates (`=`, `≠`) become
 //! single `u32` compares. Ordering predicates (`<`, `≤`) resolve their
 //! symbols back through the [`Interner`] — they are rare and
@@ -13,15 +12,16 @@
 //! The three-valued semantics are preserved exactly: [`NULL_SYM`]
 //! makes a predicate *unknown* (never true), and for non-NULL symbols
 //! id equality coincides with [`eid_relational::Value::compare`]
-//! returning `Equal` by
-//! the interner's equality contract — so
-//! [`InternedRule::fires`] agrees with
-//! [`CompiledRule::fires`] on the encoded
-//! relations, predicate for predicate.
+//! returning `Equal` by the interner's equality contract — so the
+//! union of [`InternedRule::fires`] over a source rule's orientations
+//! agrees with the source-level
+//! [`RuleBase::fires_identity`](crate::RuleBase::fires_identity) /
+//! [`RuleBase::fires_distinctness`](crate::RuleBase::fires_distinctness)
+//! on the encoded relations.
 
 use eid_relational::{Columns, Interner, Sym, NULL_SYM};
 
-use crate::compiled::{CompiledOperand, CompiledRule, CompiledRuleBase, NeqSide};
+use crate::compiled::{CompiledOperand, CompiledRule, CompiledRuleBase};
 use crate::pred::CmpOp;
 
 /// A predicate operand in symbol space.
@@ -122,8 +122,8 @@ impl InternedRule {
         &self.predicates
     }
 
-    /// Three-valued conjunction, mirroring
-    /// [`CompiledRule::eval`](crate::CompiledRule::eval).
+    /// Three-valued conjunction: `Some(false)` short-circuits, any
+    /// unknown predicate makes the conjunction unknown.
     pub fn eval(
         &self,
         r: &Columns,
@@ -149,8 +149,11 @@ impl InternedRule {
         self.eval(r, i, s, j, interner) == Some(true)
     }
 
-    /// The equi-join shape in symbol space; see
-    /// [`CompiledRule::identity_shape`](crate::CompiledRule::identity_shape).
+    /// The equi-join shape, when every predicate is an equality
+    /// literal or a cross-relation attribute equality. Candidates the
+    /// shape's index probes generate still get a final
+    /// [`InternedRule::fires`] check, so index equality and
+    /// three-valued semantics never have to coincide exactly.
     pub fn identity_shape(&self) -> Option<InternedIdentityShape> {
         let mut shape = InternedIdentityShape::default();
         for p in &self.predicates {
@@ -173,8 +176,10 @@ impl InternedRule {
         Some(shape)
     }
 
-    /// The refutation shape in symbol space; see
-    /// [`CompiledRule::distinct_shape`](crate::CompiledRule::distinct_shape).
+    /// The ILFD-induced refutation shape: equality literals on both
+    /// relations plus exactly one `≠`-constant literal, with at least
+    /// one literal on the opposite relation to probe. The engine
+    /// enumerates only rows that disagree on the `≠` column.
     pub fn distinct_shape(&self) -> Option<InternedDistinctShape> {
         let mut r_lits = Vec::new();
         let mut s_lits = Vec::new();
@@ -302,7 +307,8 @@ impl InternedRule {
     }
 }
 
-/// [`IdentityShape`](crate::IdentityShape) with interned literals.
+/// An indexable identity-rule shape: constant filters on each side
+/// plus cross-relation join columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InternedIdentityShape {
     /// `(column, symbol)` equality literals on `R`-side rows.
@@ -338,7 +344,17 @@ impl InternedIdentityShape {
     }
 }
 
-/// [`DistinctShape`](crate::DistinctShape) with interned literals.
+/// Which relation carries the `≠`-constant literal of an
+/// [`InternedDistinctShape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NeqSide {
+    /// The `≠` literal reads the `R`-side row.
+    R,
+    /// The `≠` literal reads the `S`-side row.
+    S,
+}
+
+/// An indexable distinctness-rule shape (the Proposition-1 ILFD dual).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedDistinctShape {
     /// `(column, symbol)` equality literals on `R`-side rows.
@@ -438,63 +454,105 @@ mod tests {
         rb
     }
 
-    /// The load-bearing equivalence: interned `fires` agrees with
-    /// compiled `fires` on every row pair, for `=`, `≠`, `<`, and
-    /// NULL operands alike.
+    /// The load-bearing equivalence: on every row pair, some interned
+    /// orientation of a family fires exactly when the source-level
+    /// rule base says a rule of that family fires in either
+    /// orientation — for `=`, `≠`, `<`, and NULL operands alike.
     #[test]
-    fn interned_fires_agrees_with_compiled() {
+    fn interned_fires_agrees_with_source_rules() {
         let (r, s) = world();
-        let compiled = CompiledRuleBase::compile(&rb(), r.schema(), s.schema());
+        let rb = rb();
+        let compiled = CompiledRuleBase::compile(&rb, r.schema(), s.schema());
         let mut interner = Interner::new();
         let interned = InternedRuleBase::from_compiled(&compiled, &mut interner);
         let cr = Columns::encode(&r, &mut interner);
         let cs = Columns::encode(&s, &mut interner);
-        for (rules_c, rules_i) in [
-            (&compiled.identity, &interned.identity),
-            (&compiled.distinctness, &interned.distinctness),
-        ] {
-            for (rc, ri) in rules_c.iter().zip(rules_i.iter()) {
-                for i in 0..r.len() {
-                    for j in 0..s.len() {
-                        assert_eq!(
-                            rc.fires(&r.tuples()[i], &s.tuples()[j]),
-                            ri.fires(&cr, i, &cs, j, &interner),
-                            "rule {} on pair ({i},{j})",
-                            rc.name
-                        );
-                    }
-                }
+        let any_fires = |rules: &[InternedRule], i: usize, j: usize| {
+            rules.iter().any(|ri| ri.fires(&cr, i, &cs, j, &interner))
+        };
+        let (mut identity, mut distinct) = (0, 0);
+        for i in 0..r.len() {
+            for j in 0..s.len() {
+                let (tr, ts) = (&r.tuples()[i], &s.tuples()[j]);
+                let want = rb.fires_identity(r.schema(), tr, s.schema(), ts);
+                assert_eq!(
+                    any_fires(&interned.identity, i, j),
+                    want,
+                    "identity on pair ({i},{j})"
+                );
+                identity += usize::from(want);
+                let want = rb.fires_distinctness(r.schema(), tr, s.schema(), ts);
+                assert_eq!(
+                    any_fires(&interned.distinctness, i, j),
+                    want,
+                    "distinctness on pair ({i},{j})"
+                );
+                distinct += usize::from(want);
             }
         }
+        // The world exercises both outcomes of both families: (a,a)
+        // matches, and r3's swapped orientation refutes (b, *) where
+        // the S row is the Indian one. The NULL-cuisine row decides
+        // nothing under key-eq or r3.
+        assert_eq!(identity, 1);
+        assert!(distinct > 0 && distinct < r.len() * s.len());
     }
 
     #[test]
-    fn interned_shapes_mirror_compiled_shapes() {
+    fn interned_shapes_are_the_expected_literal_shapes() {
         let (r, s) = world();
         let compiled = CompiledRuleBase::compile(&rb(), r.schema(), s.schema());
         let mut interner = Interner::new();
         let interned = InternedRuleBase::from_compiled(&compiled, &mut interner);
-        for (rc, ri) in compiled.identity.iter().zip(interned.identity.iter()) {
-            assert_eq!(rc.identity_shape().is_some(), ri.identity_shape().is_some());
-        }
-        for (rc, ri) in compiled
-            .distinctness
-            .iter()
-            .zip(interned.distinctness.iter())
-        {
-            assert_eq!(rc.distinct_shape().is_some(), ri.distinct_shape().is_some());
-            if let (Some(dc), Some(di)) = (rc.distinct_shape(), ri.distinct_shape()) {
-                assert_eq!(&dc.neq.2, interner.resolve(di.neq.2));
-            }
-        }
-        // The join-only identity rule keeps its join columns.
+        let indian = interner.intern(&Value::str("indian"));
+
+        // key-eq is symmetric: one orientation, a join on
+        // (name, cuisine) and no literals.
+        assert_eq!(interned.identity.len(), 1);
         let shape = interned.identity[0].identity_shape().unwrap();
-        assert_eq!(shape.join.len(), 2);
-        assert!(shape.r_lits.is_empty() && shape.s_lits.is_empty());
+        assert_eq!(
+            shape,
+            InternedIdentityShape {
+                r_lits: vec![],
+                s_lits: vec![],
+                join: vec![(0, 0), (1, 1)],
+            }
+        );
+        assert!(interned.identity[0].distinct_shape().is_none());
         // Probe positions are the S-side join columns, sorted; each
         // traces back to its R-side source.
         assert_eq!(shape.probe_positions(), vec![0, 1]);
         assert_eq!(shape.r_source_of(0), Some(0));
         assert_eq!(shape.r_source_of(1), Some(1));
+
+        // r3 keeps both orientations: R.cuisine = indian ∧ S.cuisine ≠
+        // indian, and its mirror. `ordered` (a `<` between attributes)
+        // has no indexable shape in either orientation.
+        let names: Vec<&str> = interned
+            .distinctness
+            .iter()
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(names, ["r3", "r3", "ordered", "ordered"]);
+        assert_eq!(
+            interned.distinctness[0].distinct_shape(),
+            Some(InternedDistinctShape {
+                r_lits: vec![(1, indian)],
+                s_lits: vec![],
+                neq: (NeqSide::S, 1, indian),
+            })
+        );
+        assert_eq!(
+            interned.distinctness[1].distinct_shape(),
+            Some(InternedDistinctShape {
+                r_lits: vec![],
+                s_lits: vec![(1, indian)],
+                neq: (NeqSide::R, 1, indian),
+            })
+        );
+        for ordered in &interned.distinctness[2..] {
+            assert!(ordered.identity_shape().is_none());
+            assert!(ordered.distinct_shape().is_none());
+        }
     }
 }

@@ -12,8 +12,10 @@
 //! * [`extended_key`] — extended keys `K_Ext`, their identity rule
 //!   (*extended key equivalence*), uniqueness and minimality checks;
 //! * [`compiled`] — rule precompilation: attribute names resolved to
-//!   column positions once per run, plus indexable *block plan*
-//!   shapes consumed by the `eid-core` blocked matching engine;
+//!   column positions once per run, one rule per live orientation;
+//! * [`interned`] — compiled rules lowered into symbol space: the
+//!   evaluators, indexable shapes, and kernel shapes the `eid-core`
+//!   blocked matching engine runs;
 //! * [`rulebase`] — a [`RuleBase`] with the three-valued
 //!   [`RuleBase::decide`] function over tuple pairs, plus detection
 //!   of mutually inconsistent rule firings.
@@ -49,14 +51,13 @@ pub mod rulebase;
 
 pub use compiled::{
     CompileStats, CompiledOperand, CompiledPredicate, CompiledRule, CompiledRuleBase,
-    DistinctShape, IdentityShape, NeqSide,
 };
 pub use distinctness::{DistinctnessRule, DistinctnessRuleError};
 pub use extended_key::ExtendedKey;
 pub use identity::{IdentityRule, IdentityRuleError};
 pub use interned::{
     InternedDistinctShape, InternedIdentityShape, InternedOperand, InternedPredicate, InternedRule,
-    InternedRuleBase, KernelShape,
+    InternedRuleBase, KernelShape, NeqSide,
 };
 pub use parser::{parse_rules, ParseError, RuleFile, Statement};
 pub use pred::{CmpOp, Operand, Predicate, Side};

@@ -91,7 +91,8 @@ with open(sys.argv[1]) as f:
 for key in ("arm", "mode", "mode_why", "workers", "index_free", "nodes"):
     assert key in plan, f"plan JSON missing {key!r}"
 kinds = [n["kind"] for n in plan["nodes"]]
-for kind in ("derive", "encode", "block", "identity-probe", "dedup", "classify"):
+for kind in ("derive", "encode", "block", "identity-probe", "vector-scan", "sink",
+             "classify"):
     assert kind in kinds, f"plan has no {kind!r} node: {kinds}"
 for n in plan["nodes"]:
     for field in ("id", "kind", "label", "why", "span", "inputs"):
@@ -293,38 +294,32 @@ print(f"    kernel OK: counts identical; {batches} batches, "
       f"{on['counters'].get('kernel/lanes_used', 0)} lanes on")
 EOF
     rm -f "$kern_on" "$kern_off"
-    # Sink smoke: forced streamed vs forced buffered emission must
-    # classify identically (same MT/NMT/undetermined), the streamed
-    # run must actually engage the sharded sinks (sink/* counters),
-    # and the buffered run must not.
-    echo "==> sink smoke (n=800, emit streamed vs buffered)"
-    sink_s="$(mktemp)" sink_b="$(mktemp)"
-    ./target/release/bench_json 800 --engines blocked \
-        --emit streamed --out "$sink_s" >/dev/null
-    ./target/release/bench_json 800 --engines blocked \
-        --emit buffered --out "$sink_b" >/dev/null
-    python3 - "$sink_s" "$sink_b" <<'EOF'
+    # Auto-plan smoke: at n=800 the planner's own choice must take
+    # the fast path — streamed emission into bitset sinks and at
+    # least one vectorized scan — and classify exactly like the
+    # nested-loop oracle arm.
+    echo "==> auto-plan smoke (n=800, streamed + vector vs nested_loop)"
+    auto_out="$(mktemp)"
+    ./target/release/bench_json 800 --engines nested_loop,blocked \
+        --out "$auto_out" >/dev/null
+    python3 - "$auto_out" <<'EOF'
 import json, sys
-def arm(path):
-    with open(path) as f:
-        bench = json.load(f)
-    size = bench["sizes"][0]
-    return size, {e["name"]: e for e in size["engines"]}["blocked"]
-(size_s, streamed), (size_b, buffered) = arm(sys.argv[1]), arm(sys.argv[2])
+with open(sys.argv[1]) as f:
+    bench = json.load(f)
+engines = {e["name"]: e for e in bench["sizes"][0]["engines"]}
+oracle, blocked = engines["nested_loop"], engines["blocked"]
 for key in ("matching", "negative", "undetermined"):
-    assert streamed[key] == buffered[key], \
-        f"emission mode changed {key}: streamed={streamed[key]} buffered={buffered[key]}"
-assert streamed["plan"]["emit"].startswith("streamed"), streamed["plan"]["emit"]
-assert buffered["plan"]["emit"].startswith("buffered"), buffered["plan"]["emit"]
-shards = streamed["counters"].get("sink/shards", 0)
-assert shards >= 1, f"streamed run recorded no sink shards: {streamed['counters']}"
-assert "sink/shards" not in buffered["counters"], \
-    "buffered run tallied sink counters"
-assert size_s["emit"]["ab_identical"] and size_b["emit"]["ab_identical"]
-print(f"    sink OK: counts identical; {shards} shard(s), "
-      f"{streamed['counters'].get('sink/bytes', 0)} sink bytes streamed")
+    assert blocked[key] == oracle[key], \
+        f"auto plan changed {key}: blocked={blocked[key]} nested_loop={oracle[key]}"
+plan = blocked["plan"]
+assert plan["emit"].startswith("streamed"), f"n=800 did not auto-stream: {plan['emit']}"
+assert plan["vector_nodes"] >= 1, f"n=800 auto plan has no vector node: {plan}"
+shards = blocked["counters"].get("sink/shards", 0)
+assert shards >= 1, f"streamed run recorded no sink shards: {blocked['counters']}"
+print(f"    auto plan OK: streamed, {plan['vector_nodes']} vector node(s), "
+      f"{shards} shard(s), counts equal to nested_loop")
 EOF
-    rm -f "$sink_s" "$sink_b"
+    rm -f "$auto_out"
     # Streaming perf gate: at n=3200 the blocked arm must resolve to
     # streamed emission on its own (auto), classify exactly the known
     # workload counts, and convert must come in under the buffered

@@ -7,11 +7,11 @@
 //!           [--lenient] [--timeout-ms N] [--max-pairs N] [--max-mem-mb N] \
 //!           [--no-spill] [--spill-dir DIR] [--keep-spill] \
 //!           [--stats] [--report-json PATH] [--trace-out PATH] \
-//!           [--emit auto|buffered|streamed|spilled]
+//!           [--emit auto|spilled]
 //! eid plan --r R.csv --r-key name,street --s S.csv --s-key name,city \
 //!          --rules knowledge.rules --key name,cuisine \
 //!          [--json] [--explain] [--analyze] [--threads N] \
-//!          [--emit auto|buffered|streamed|spilled]
+//!          [--emit auto|spilled]
 //! eid validate --rules knowledge.rules
 //! eid demo
 //! ```
@@ -243,12 +243,8 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a st
 fn parse_emit_flag(flags: &HashMap<String, String>) -> Result<EmitHint, String> {
     match flags.get("emit").map(String::as_str) {
         None | Some("auto") => Ok(EmitHint::Auto),
-        Some("buffered") => Ok(EmitHint::Buffered),
-        Some("streamed") => Ok(EmitHint::Streamed),
         Some("spilled") => Ok(EmitHint::Spilled),
-        Some(other) => Err(format!(
-            "--emit: `{other}` is not one of auto, buffered, streamed, spilled"
-        )),
+        Some(other) => Err(format!("--emit: `{other}` is not one of auto, spilled")),
     }
 }
 

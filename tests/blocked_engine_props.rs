@@ -1,16 +1,17 @@
 //! Equivalence properties for the blocked matching engine: on
 //! randomized generated worlds, [`JoinAlgorithm::Blocked`] (the
-//! default), [`JoinAlgorithm::Hash`], and the exhaustive
-//! [`JoinAlgorithm::NestedLoop`] oracle must produce identical
-//! matching tables, negative matching tables, and undetermined
-//! counts — for any thread count — and the incremental matcher must
-//! still converge to the same state as a batch run under the new
-//! default engine.
+//! default) and the exhaustive [`JoinAlgorithm::NestedLoop`] oracle
+//! must produce identical matching tables, negative matching tables,
+//! and undetermined counts — for any thread count — the matching
+//! table must equal the independent §4.2 relational-algebra
+//! pipeline's, and the incremental matcher must still converge to the
+//! same state as a batch run under the default engine.
 
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
 
+use entity_id::core::algebra_pipeline;
 use entity_id::datagen::{generate, GeneratorConfig};
 use entity_id::prelude::*;
 use entity_id::relational::{Columns, Interner, NULL_SYM};
@@ -141,8 +142,9 @@ proptest! {
         }
     }
 
-    /// Blocked (default) and Hash agree with the nested-loop oracle
-    /// on MT_RS, NMT_RS, and the undetermined count.
+    /// Blocked (default) agrees with the nested-loop oracle on
+    /// MT_RS, NMT_RS, and the undetermined count; under fixpoint
+    /// derivation its MT_RS also equals the §4.2 algebra pipeline's.
     #[test]
     fn blocked_equals_nested_loop_oracle(config in arb_config()) {
         let w = generate(&config);
@@ -150,12 +152,16 @@ proptest! {
         let mut oracle_cfg = base.clone();
         oracle_cfg.join = JoinAlgorithm::NestedLoop;
         let oracle = run(&w.r, &w.s, &oracle_cfg);
-        for join in [JoinAlgorithm::Blocked, JoinAlgorithm::Hash] {
-            let mut c = base.clone();
-            c.join = join;
-            let got = run(&w.r, &w.s, &c);
-            assert_same_tables(&got, &oracle, &format!("{join:?} vs oracle"))?;
-        }
+        let got = run(&w.r, &w.s, &base);
+        assert_same_tables(&got, &oracle, "Blocked vs oracle")?;
+
+        let mut fixpoint = base;
+        fixpoint.strategy = DerivationStrategy::Fixpoint;
+        let got = run(&w.r, &w.s, &fixpoint);
+        let pipeline =
+            algebra_pipeline::run(&w.r, &w.s, &w.extended_key, &w.ilfds).unwrap();
+        prop_assert!(got.matching.includes(&pipeline.matching), "pipeline: matching ⊉");
+        prop_assert!(pipeline.matching.includes(&got.matching), "pipeline: matching ⊈");
     }
 
     /// The blocked engine's output is byte-identical for every
@@ -183,8 +189,7 @@ proptest! {
     }
 
     /// Extra identity rules route through the engine's identity
-    /// plans (and the Hash path's extra-rules scan); both must agree
-    /// with the oracle.
+    /// plans; they must agree with the oracle.
     #[test]
     fn extra_identity_rules_agree_with_oracle(config in arb_config()) {
         let w = generate(&config);
@@ -199,17 +204,13 @@ proptest! {
         let mut oracle_cfg = base.clone();
         oracle_cfg.join = JoinAlgorithm::NestedLoop;
         let oracle = run(&w.r, &w.s, &oracle_cfg);
-        for join in [JoinAlgorithm::Blocked, JoinAlgorithm::Hash] {
-            let mut c = base.clone();
-            c.join = join;
-            let got = run(&w.r, &w.s, &c);
-            assert_same_tables(&got, &oracle, &format!("{join:?} with extra rules"))?;
-        }
+        let got = run(&w.r, &w.s, &base);
+        assert_same_tables(&got, &oracle, "Blocked with extra rules")?;
     }
 
     /// Planner equivalence: plan shapes follow the hint, the
     /// planner-chosen Auto plan agrees byte-identically (after
-    /// canonical ordering) with the Hash-hint plan and the
+    /// canonical ordering) with its kernels-off scalar twin and the
     /// NestedLoop oracle, and the degradation-ladder rewrites
     /// (serial twin, index-free twin) do not change the executed
     /// pair sets.
@@ -259,9 +260,9 @@ proptest! {
         // canonically ordered.
         let auto = run(&w.r, &w.s, &base);
         let golden = canon_tables(&auto);
-        let mut hash_cfg = base.clone();
-        hash_cfg.join = JoinAlgorithm::Hash;
-        for (cfg, tag) in [(hash_cfg, "hash"), (nl_cfg, "nested_loop")] {
+        let mut scalar_cfg = base.clone();
+        scalar_cfg.kernels = false;
+        for (cfg, tag) in [(scalar_cfg, "scalar"), (nl_cfg, "nested_loop")] {
             let got = run(&w.r, &w.s, &cfg);
             prop_assert_eq!(&canon_tables(&got), &golden, "{} vs auto", tag);
             prop_assert_eq!(got.undetermined, auto.undetermined, "{}: undetermined", tag);
@@ -287,7 +288,7 @@ proptest! {
                 v.dedup();
                 v
             };
-            (dedup_sort(&p.matching), dedup_sort(&p.negative))
+            (dedup_sort(&p.matching), dedup_sort(&p.negative_pairs()))
         };
         let baseline = canon_pairs(&exec.execute(&plan, &guard).unwrap());
         for (tag, rewritten) in [

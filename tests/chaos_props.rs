@@ -1,8 +1,8 @@
 //! Chaos-schedule fault harness: randomized *multi-fault* schedules
 //! across every runtime site — worker panics, merge panics, interner
 //! poisoning, transient spill I/O failures, forced memory-budget
-//! trips — driven against all three emission modes (buffered,
-//! streamed, spilled) and thread counts {1, 2, 7}. The invariant
+//! trips — driven against both emission hints (auto, which streams,
+//! and forced spilled) and thread counts {1, 2, 7}. The invariant
 //! under ANY schedule: the run returns the exact fault-free decision
 //! sets (possibly via a degraded execution or emission rung) or a
 //! typed error — never corruption, never a raw panic, and never a
@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use entity_id::core::error::CoreError;
-use entity_id::core::matcher::{EntityMatcher, MatchConfig, MatchOutcome};
+use entity_id::core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchOutcome};
 use entity_id::core::plan::EmitHint;
 use entity_id::core::runtime::{AbortReason, RunBudget};
 use entity_id::datagen::{generate, GeneratorConfig, Workload};
@@ -53,7 +53,7 @@ const CHAOS_SITES: [&str; 10] = [
 /// that doesn't divide anything evenly.
 const THREADS: [usize; 3] = [1, 2, 7];
 
-const EMITS: [EmitHint; 3] = [EmitHint::Buffered, EmitHint::Streamed, EmitHint::Spilled];
+const EMITS: [EmitHint; 2] = [EmitHint::Auto, EmitHint::Spilled];
 
 fn world(n: usize, seed: u64) -> (Workload, MatchConfig) {
     let w = generate(&GeneratorConfig {
@@ -68,6 +68,17 @@ fn world(n: usize, seed: u64) -> (Workload, MatchConfig) {
     });
     let config = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
     (w, config)
+}
+
+/// The fault-free reference: the nested-loop oracle, run serially
+/// with no fault plan armed.
+fn nested_loop_oracle(w: &Workload, config: &MatchConfig) -> MatchOutcome {
+    let mut oracle = config.clone();
+    oracle.join = JoinAlgorithm::NestedLoop;
+    EntityMatcher::new(w.r.clone(), w.s.clone(), oracle)
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 fn sorted_entries(t: &entity_id::core::match_table::PairTable) -> Vec<String> {
@@ -142,11 +153,7 @@ proptest! {
         let _l = lock();
         eid_fault::quiet_panics();
         let (w, config) = world(n, world_seed);
-
-        let mut serial = config.clone();
-        serial.threads = 1;
-        let oracle = EntityMatcher::new(w.r.clone(), w.s.clone(), serial)
-            .unwrap().run().unwrap();
+        let oracle = nested_loop_oracle(&w, &config);
 
         // Seed-driven triggers: `@s12` spreads each clause over the
         // first dozen calls at its site, deterministically per seed.
@@ -210,11 +217,7 @@ proptest! {
     ) {
         let _l = lock();
         let (w, config) = world(n, world_seed);
-
-        let mut serial = config.clone();
-        serial.threads = 1;
-        let oracle = EntityMatcher::new(w.r.clone(), w.s.clone(), serial)
-            .unwrap().run().unwrap();
+        let oracle = nested_loop_oracle(&w, &config);
 
         // 8 KiB: below any workload here's estimated pair bytes, so
         // an auto parallel plan must degrade to out-of-core emission
@@ -243,7 +246,7 @@ proptest! {
                 outcome.verify().unwrap();
                 // Whether the planner chose spilled here depends on
                 // its pair estimate vs the budget — tiny worlds can
-                // legitimately stay buffered and fit. The
+                // legitimately stay streamed and fit. The
                 // deterministic budget→spilled planning check lives
                 // in `no_spill_restores_abort_as_the_final_rung`.
             }
@@ -360,20 +363,24 @@ fn spill_io_faults_recover_or_degrade_a_rung() {
 #[test]
 fn no_spill_restores_abort_as_the_final_rung() {
     let _l = lock();
-    let (w, config) = big_world();
+    // Streamed emission keeps one bitset grid per worker resident, so
+    // spilling only saves memory once the grid spans many shards and
+    // several workers hold them: ~3.8k × 3.9k rows (12 shards) under
+    // four workers.
+    let (w, config) = world(4800, 7);
 
-    // Between the spilled run's gross allocation volume and the
-    // buffered run's (which adds ~8 bytes per materialized pair on
-    // top): with spill the run completes out-of-core, without it the
-    // same budget is a typed abort.
-    const BUDGET: u64 = 8 * 1024 * 1024;
+    // Between the spilled run's resident bytes and the streamed run's
+    // (four workers' full grids plus the merged one): with spill the
+    // run completes out-of-core, without it the same budget is a
+    // typed abort.
+    const BUDGET: u64 = 6 * 1024 * 1024;
     let budget = RunBudget {
         max_pair_bytes: Some(BUDGET),
         ..RunBudget::default()
     };
 
     let mut with_spill = config.clone();
-    with_spill.threads = 2;
+    with_spill.threads = 4;
     with_spill.budget = budget.clone();
     let ok = EntityMatcher::new(w.r.clone(), w.s.clone(), with_spill)
         .unwrap()
@@ -388,7 +395,7 @@ fn no_spill_restores_abort_as_the_final_rung() {
     );
 
     let mut no_spill = config;
-    no_spill.threads = 2;
+    no_spill.threads = 4;
     no_spill.budget = budget;
     no_spill.spill = false;
     match EntityMatcher::new(w.r.clone(), w.s.clone(), no_spill)
@@ -401,50 +408,4 @@ fn no_spill_restores_abort_as_the_final_rung() {
         }) => assert_eq!(limit, BUDGET),
         other => panic!("--no-spill run should abort typed, got {other:?}"),
     }
-}
-
-/// Satellite: an explicit `--emit streamed` hint below the auto
-/// threshold is honoured (not silently ignored), and a structurally
-/// gated hint is surfaced via the `plan/emit_hint_overridden`
-/// warn-once counter with the gate named in the emit label.
-#[test]
-fn explicit_emit_hints_are_honoured_or_reported() {
-    let _l = lock();
-    let (w, config) = world(40, 11);
-
-    // Far below STREAM_MIN_PAIRS, yet the explicit hint wins.
-    let mut streamed = config.clone();
-    streamed.threads = 2;
-    streamed.emit = EmitHint::Streamed;
-    let outcome = EntityMatcher::new(w.r.clone(), w.s.clone(), streamed)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(
-        outcome
-            .stats
-            .label("plan/emit")
-            .unwrap_or("?")
-            .starts_with("streamed"),
-        "explicit streamed hint was ignored: {:?}",
-        outcome.stats.label("plan/emit")
-    );
-    assert_eq!(outcome.stats.counter("plan/emit_hint_overridden"), 0);
-
-    // Structural gate: no refutation phase — the hint cannot apply,
-    // and the run says so instead of silently buffering.
-    let mut gated = config;
-    gated.threads = 2;
-    gated.emit = EmitHint::Streamed;
-    gated.collect_negative = false;
-    let outcome = EntityMatcher::new(w.r.clone(), w.s.clone(), gated)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(outcome.stats.counter("plan/emit_hint_overridden"), 1);
-    let emit = outcome.stats.label("plan/emit").unwrap_or("?");
-    assert!(
-        emit.starts_with("buffered") && emit.contains("overridden"),
-        "gated hint not reported: {emit}"
-    );
 }

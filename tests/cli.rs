@@ -168,7 +168,7 @@ fn plan_command_prints_the_golden_example1_tree() {
     // blocking-key rationale. 3×3 = 9 estimated pairs → serial.
     let golden = "match plan — arm blocked, mode serial(auto-small)
   mode: auto: 9 estimated pairs < 50000 — serial
-  emit: buffered: est 9 raw negative pairs < 2000000: per-task buffers stay cache-resident
+  emit: streamed(1): est 9 raw negative pairs: workers emit into 1 row-range bitset shards, dedup free at emission
   stats: computed
   derive(R) — extend R with missing extended-key attributes; ILFDs fill values (§5)
   derive(S) — extend S with missing extended-key attributes; ILFDs fill values (§5)
@@ -176,7 +176,7 @@ fn plan_command_prints_the_golden_example1_tree() {
       block-index — build symbol-keyed inverted indexes for 1 probe plan(s)
         probe(extended-key-equivalence) [probe 0] — blocking key ⟨name⟩ — most selective first: name (3 distinct, 0% null)
       scan(line 1) [scan] — no single-≠ shape: fused residual scan
-          dedup — first-occurrence dedup of raw pair lists in id space; runs on two threads when the lists are large
+          sink(1 shards) [streamed, 1 shards] — streamed emission — est 9 raw negative pairs: workers emit into 1 row-range bitset shards, dedup free at emission; shards merged by row range post-scope
             classify — Figure-3 partition: MT / NMT / undetermined accounting
 ";
     assert_eq!(text, golden);

@@ -63,20 +63,20 @@ proptest! {
         prop_assert_eq!(eval.match_recall(), 1.0, "{:?}", config);
     }
 
-    /// Hash join and nested loop produce identical tables.
+    /// The blocked engine and nested loop produce identical tables.
     #[test]
     fn join_algorithms_agree(config in arb_config()) {
         let w = generate(&config);
         let mut c = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
-        let hash = EntityMatcher::new(w.r.clone(), w.s.clone(), c.clone())
+        let blocked = EntityMatcher::new(w.r.clone(), w.s.clone(), c.clone())
             .unwrap().run().unwrap();
         c.join = JoinAlgorithm::NestedLoop;
         let nested = EntityMatcher::new(w.r.clone(), w.s.clone(), c)
             .unwrap().run().unwrap();
-        prop_assert!(hash.matching.includes(&nested.matching));
-        prop_assert!(nested.matching.includes(&hash.matching));
-        prop_assert!(hash.negative.includes(&nested.negative));
-        prop_assert!(nested.negative.includes(&hash.negative));
+        prop_assert!(blocked.matching.includes(&nested.matching));
+        prop_assert!(nested.matching.includes(&blocked.matching));
+        prop_assert!(blocked.negative.includes(&nested.negative));
+        prop_assert!(nested.negative.includes(&blocked.negative));
     }
 
     /// First-match and fixpoint derivation agree whenever the ILFD

@@ -11,7 +11,7 @@
 use std::sync::Mutex;
 
 use entity_id::core::error::CoreError;
-use entity_id::core::matcher::{EntityMatcher, MatchConfig, MatchOutcome};
+use entity_id::core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchOutcome};
 use entity_id::core::runtime::{AbortReason, RunBudget};
 use entity_id::core::stats::{counter, label};
 use entity_id::datagen::{generate, GeneratorConfig};
@@ -289,11 +289,14 @@ fn cancelled_guard_aborts_the_run() {
 }
 
 /// A poisoned parallel convert degrades to the serial dedup on the
-/// main thread — same tables, counted fallback.
+/// main thread — same tables, counted fallback. Only buffered runs
+/// dedup raw pair lists, so both runs take the nested-loop arm, the
+/// buffered path the planner keeps for its oracle.
 #[test]
 fn convert_fault_degrades_to_serial_dedup() {
     let _l = lock();
-    let (r, s, config) = workload_800();
+    let (r, s, mut config) = workload_800();
+    config.join = JoinAlgorithm::NestedLoop;
 
     let mut serial = config.clone();
     serial.threads = 1;

@@ -142,7 +142,7 @@ fn canon_pairs(p: &EnginePairs) -> PairSets {
         v.dedup();
         v
     };
-    (dedup_sort(&p.matching), dedup_sort(&p.negative))
+    (dedup_sort(&p.matching), dedup_sort(&p.negative_pairs()))
 }
 
 proptest! {
@@ -309,8 +309,8 @@ proptest! {
     }
 }
 
-/// On a world large enough to clear [`VECTOR_MIN_PAIRS`], the Auto
-/// planner dispatches `VectorScan` nodes, and the vectorized plan is
+/// On a mid-size world the Auto planner dispatches `VectorScan`
+/// nodes, and the vectorized plan is
 /// byte-identical to its serial rewrite twin, set-identical to the
 /// index-free (nested-loop) twin and to a kernels-off plan, and
 /// invariant across thread counts.
@@ -363,7 +363,8 @@ fn vector_scan_plan_agrees_with_scalar_twins() {
         "serial twin: matching order"
     );
     assert_eq!(
-        serial.negative, baseline.negative,
+        serial.negative_pairs(),
+        baseline.negative_pairs(),
         "serial twin: negative order"
     );
 

@@ -2,8 +2,9 @@
 //! [`MatchOutcome::stats`]: counters must sum correctly (blocking
 //! precision, memoization, classification), the classification
 //! counters must mirror the outcome's tables exactly, and reports
-//! from all three join arms must agree on the classification of the
-//! same world. A report that lies is worse than no report.
+//! from the blocked arm (kernels on and off) and the nested-loop arm
+//! must agree on the classification of the same world. A report that
+//! lies is worse than no report.
 
 use proptest::prelude::*;
 
@@ -162,24 +163,26 @@ proptest! {
         let pairs_total = w.r.len() * w.s.len();
 
         let mut outcomes = Vec::new();
-        for join in [
-            JoinAlgorithm::Blocked,
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::NestedLoop,
+        for (join, kernels, label) in [
+            (JoinAlgorithm::Blocked, true, "blocked"),
+            (JoinAlgorithm::Blocked, false, "blocked (kernels off)"),
+            (JoinAlgorithm::NestedLoop, true, "nested-loop"),
         ] {
             let mut c = base.clone();
             c.join = join;
+            c.kernels = kernels;
             let outcome = run(&w.r, &w.s, &c);
-            assert_common_invariants(&outcome, pairs_total, &format!("{join:?}"))?;
-            outcomes.push((join, outcome));
+            assert_common_invariants(&outcome, pairs_total, label)?;
+            outcomes.push((label, outcome));
         }
         assert_blocked_invariants(&outcomes[0].1)?;
+        assert_blocked_invariants(&outcomes[1].1)?;
 
         let oracle = classification(&outcomes[2].1);
-        for (join, outcome) in &outcomes[..2] {
+        for (label, outcome) in &outcomes[..2] {
             prop_assert_eq!(
                 classification(outcome), oracle,
-                "{:?} classification disagrees with nested-loop", join
+                "{} classification disagrees with nested-loop", label
             );
         }
     }

@@ -1,13 +1,16 @@
 //! Streaming pair-sink properties: the streamed emission path (workers
 //! push refuted pairs straight into row-range bitset shards, merged
-//! after the scope) must classify *identically* to the buffered `Vec`
-//! path at every thread count, its plan must carry a [`Sink`] node
-//! that every degradation rewrite lowers back to buffered, and an
-//! abort or injected fault mid-stream must surface as a typed error
-//! with coherent partial stats — never a panic, never a wrong table.
+//! after the scope) must classify *identically* to the nested-loop
+//! oracle's buffered `Vec` path at every thread count, its plan must
+//! carry a [`Sink`] node that the serial twin keeps and the
+//! index-free and buffered rewrites lower, and an abort or injected
+//! fault mid-stream must surface as a typed error with coherent
+//! partial stats — never a panic, never a wrong table.
 //!
-//! The fault plan is process-global; tests that arm one serialize on
-//! a mutex and clear it before returning.
+//! The fault plan is process-global and every engine run passes its
+//! fault sites, so every test here holds the file's lock for its
+//! whole duration; the one that arms a plan clears it before
+//! returning.
 //!
 //! [`Sink`]: entity_id::core::plan::PlanNodeKind::Sink
 
@@ -16,8 +19,8 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use entity_id::core::error::CoreError;
-use entity_id::core::matcher::{EntityMatcher, MatchConfig, MatchOutcome};
-use entity_id::core::plan::{EmitHint, EmitMode, PlanNodeKind};
+use entity_id::core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchOutcome};
+use entity_id::core::plan::{EmitMode, PlanNodeKind};
 use entity_id::core::runtime::{AbortReason, RunBudget};
 use entity_id::core::stats::counter;
 use entity_id::datagen::{generate, GeneratorConfig, Workload};
@@ -73,9 +76,17 @@ fn run(w: &Workload, config: MatchConfig) -> MatchOutcome {
         .expect("successful run")
 }
 
+/// The nested-loop oracle: every rule scanned serially, emission
+/// buffered.
+fn nested_loop_oracle(w: &Workload, config: &MatchConfig) -> MatchOutcome {
+    let mut oracle = config.clone();
+    oracle.join = JoinAlgorithm::NestedLoop;
+    run(w, oracle)
+}
+
 /// Same decision *sets* and counts. The streamed path decodes its
-/// merged bitset in ascending row order while the buffered path
-/// keeps first-occurrence order, so entry order is not compared.
+/// merged bitset in ascending row order while the oracle's buffered
+/// path keeps first-occurrence order, so entry order is not compared.
 fn assert_same_table_sets(
     a: &MatchOutcome,
     b: &MatchOutcome,
@@ -94,24 +105,27 @@ fn assert_same_table_sets(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On ANY generated world, forcing streamed emission classifies
-    /// identically to the buffered path at thread counts 1, 2, and 7
-    /// — streaming is an execution detail, never a semantic one.
+    /// On ANY generated world, the auto plan's streamed emission
+    /// classifies identically to the nested-loop oracle's buffered
+    /// path at thread counts 1, 2, and 7 — streaming is an execution
+    /// detail, never a semantic one.
     #[test]
     fn streamed_equals_buffered_at_any_thread_count(config in arb_config()) {
+        let _l = lock();
         let w = generate(&config);
         let base = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
-
-        let mut buffered = base.clone();
-        buffered.threads = 1;
-        buffered.emit = EmitHint::Buffered;
-        let oracle = run(&w, buffered);
+        let oracle = nested_loop_oracle(&w, &base);
+        prop_assert!(
+            oracle.stats.label("plan/emit").unwrap_or("?").starts_with("buffered"),
+            "the oracle must run the buffered path"
+        );
 
         for threads in [1usize, 2, 7] {
             let mut streamed = base.clone();
             streamed.threads = threads;
-            streamed.emit = EmitHint::Streamed;
             let got = run(&w, streamed);
+            let emit = got.stats.label("plan/emit").unwrap_or("?");
+            prop_assert!(emit.starts_with("streamed"), "t={}: auto plan emit {}", threads, emit);
             assert_same_table_sets(&oracle, &got, &format!("streamed t={threads}"))?;
             // When anything was refuted, the sink counters prove the
             // streamed path actually engaged (shards allocate lazily,
@@ -136,16 +150,12 @@ proptest! {
         world_seed in any::<u64>(),
         max_pairs in 1..30_000u64,
     ) {
+        let _l = lock();
         let (w, config) = world(n, world_seed);
-
-        let mut oracle_cfg = config.clone();
-        oracle_cfg.threads = 1;
-        oracle_cfg.emit = EmitHint::Buffered;
-        let oracle = run(&w, oracle_cfg);
+        let oracle = nested_loop_oracle(&w, &config);
 
         let mut budgeted = config;
         budgeted.threads = 2;
-        budgeted.emit = EmitHint::Streamed;
         budgeted.budget = RunBudget {
             max_candidate_pairs: Some(max_pairs),
             ..RunBudget::default()
@@ -170,14 +180,15 @@ proptest! {
     }
 }
 
-/// A forced-streamed plan carries exactly one [`PlanNodeKind::Sink`]
-/// node and streamed emission metadata; the serial and index-free
-/// degradation twins both lower it back to a buffered `Dedup` — the
-/// ladder's rungs always rerun the historical `Vec` path.
+/// The auto plan streams: it carries exactly one
+/// [`PlanNodeKind::Sink`] node and streamed emission metadata. Its
+/// serial twin — the plan the ladder's serial rung runs — keeps the
+/// sink node and the emission; the index-free and buffered twins
+/// lower it back to a buffered `Dedup`.
 #[test]
 fn streamed_plan_has_sink_node_and_rewrites_lower_to_buffered() {
-    let (w, mut config) = world(200, 7);
-    config.emit = EmitHint::Streamed;
+    let _l = lock();
+    let (w, config) = world(200, 7);
     let matcher = EntityMatcher::new(w.r.clone(), w.s.clone(), config).unwrap();
     let plan = matcher.plan().unwrap();
 
@@ -189,8 +200,11 @@ fn streamed_plan_has_sink_node_and_rewrites_lower_to_buffered() {
         .count();
     assert_eq!(sinks, 1, "streamed plan should carry one sink node");
 
+    let serial = plan.rewrite_serial();
+    assert_eq!(serial.emit, plan.emit, "serial twin emit");
+    assert_eq!(serial.nodes, plan.nodes, "serial twin nodes");
+
     for (name, twin) in [
-        ("serial", plan.rewrite_serial()),
         ("index-free", plan.rewrite_index_free()),
         ("buffered", plan.rewrite_buffered()),
     ] {
@@ -213,7 +227,7 @@ fn streamed_plan_has_sink_node_and_rewrites_lower_to_buffered() {
 /// streamed parallel arm to the serial rung instead of escaping. The
 /// rerun streams into *fresh* sinks and re-merges, so it is
 /// byte-identical to a fault-free streamed serial run (and set-equal
-/// to the buffered oracle), and the degradation is counted.
+/// to the nested-loop oracle), and the degradation is counted.
 #[test]
 fn sink_merge_fault_degrades_and_matches_oracle() {
     let _l = lock();
@@ -222,18 +236,12 @@ fn sink_merge_fault_degrades_and_matches_oracle() {
 
     let mut serial_streamed = config.clone();
     serial_streamed.threads = 1;
-    serial_streamed.emit = EmitHint::Streamed;
     let oracle = run(&w, serial_streamed);
-
-    let mut buffered = config.clone();
-    buffered.threads = 1;
-    buffered.emit = EmitHint::Buffered;
-    let buffered_oracle = run(&w, buffered);
+    let nested_oracle = nested_loop_oracle(&w, &config);
 
     eid_fault::install("engine/sink_merge@1", 0).unwrap();
     let mut faulty = config;
     faulty.threads = 2;
-    faulty.emit = EmitHint::Streamed;
     let degraded = EntityMatcher::new(w.r.clone(), w.s.clone(), faulty)
         .unwrap()
         .run();
@@ -257,12 +265,13 @@ fn sink_merge_fault_degrades_and_matches_oracle() {
         "sink-merge panic should degrade parallel → blocked serial"
     );
 
-    // Same decision sets as the buffered path — classification never
-    // depends on the emission mode, degraded or not.
-    assert!(degraded.matching.includes(&buffered_oracle.matching));
-    assert!(buffered_oracle.matching.includes(&degraded.matching));
-    assert!(degraded.negative.includes(&buffered_oracle.negative));
-    assert!(buffered_oracle.negative.includes(&degraded.negative));
+    // Same decision sets as the oracle's buffered path —
+    // classification never depends on the emission mode, degraded or
+    // not.
+    assert!(degraded.matching.includes(&nested_oracle.matching));
+    assert!(nested_oracle.matching.includes(&degraded.matching));
+    assert!(degraded.negative.includes(&nested_oracle.negative));
+    assert!(nested_oracle.negative.includes(&degraded.negative));
 }
 
 /// Cancelling mid-stream from another thread surfaces as the typed
@@ -272,9 +281,9 @@ fn sink_merge_fault_degrades_and_matches_oracle() {
 fn cancel_mid_stream_is_typed() {
     use entity_id::core::runtime::RunGuard;
 
+    let _l = lock();
     let (w, mut config) = world(400, 11);
     config.threads = 2;
-    config.emit = EmitHint::Streamed;
     let matcher = EntityMatcher::new(w.r.clone(), w.s.clone(), config).unwrap();
 
     // Pre-cancelled guard: the first checkpoint trips, wherever the

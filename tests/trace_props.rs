@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use entity_id::core::stats::counter;
+use entity_id::core::stats::{counter, span};
 use entity_id::datagen::{generate, GeneratorConfig};
 use entity_id::obs::{Trace, TracePhase};
 use entity_id::prelude::*;
@@ -45,12 +45,21 @@ fn run_with_trace(w_r: &Relation, w_s: &Relation, config: &MatchConfig) -> Match
 }
 
 /// The task-level begin events — the outermost slice of each engine
-/// task, excluding the nested kernel-tile slices.
+/// task, excluding the nested kernel-tile slices and the sink slices
+/// (spill flushes, and the post-scope shard merge of a streamed run).
 fn task_begins(trace: &Trace) -> Vec<&entity_id::obs::TraceEvent> {
     trace
         .events
         .iter()
-        .filter(|e| e.phase == TracePhase::Begin && &*e.name != "kernel/tile")
+        .filter(|e| {
+            e.phase == TracePhase::Begin
+                && ![
+                    "kernel/tile",
+                    span::ENGINE_SINK_MERGE,
+                    span::ENGINE_SINK_SPILL,
+                ]
+                .contains(&&*e.name)
+        })
         .collect()
 }
 

@@ -25,9 +25,12 @@ use std::time::Instant;
 use eid_bench::scaling_workload;
 use eid_core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchOutcome};
 use eid_core::plan::{EmitHint, PlanNodeKind};
+use eid_core::sink::MAX_BITSET_BITS;
+use eid_core::stats::counter;
 use eid_core::store::Dataset;
 use eid_core::SpillDirGuard;
 use eid_obs::MatchReport;
+use eid_rules::{CmpOp, DistinctnessRule, Operand, Predicate, Side};
 
 /// One engine configuration under measurement.
 struct Engine {
@@ -479,7 +482,10 @@ fn main() {
     // forced spilled with floor-sized caps (real segment I/O: the
     // spill traffic and retry counters come from this arm). All three
     // must classify identically — out-of-core emission changes
-    // nothing but the memory profile.
+    // nothing but the memory profile. The ILFD rules keep their
+    // output as rectangles, so the world carries one residual rule
+    // (`e1.city ≠ e2.city`, sound on the noise-free workload) whose
+    // pairs are what reaches the sinks and the spill files.
     //
     // Below n=3200 the raw-pair estimate sits under the budget, so a
     // 32 MiB cap never flips the plan to spilled and the section would
@@ -499,6 +505,17 @@ fn main() {
             config.kernels = kernels;
             config.emit = hint;
             config.budget.max_pair_bytes = budget;
+            config.extra_rules.add_distinctness(
+                DistinctnessRule::new(
+                    "city-differs",
+                    vec![Predicate::new(
+                        Operand::attr(Side::E1, "city"),
+                        CmpOp::Ne,
+                        Operand::attr(Side::E2, "city"),
+                    )],
+                )
+                .expect("valid residual rule"),
+            );
             let matcher = EntityMatcher::new(w.r.clone(), w.s.clone(), config).unwrap();
             let mut best = f64::INFINITY;
             let mut outcome = None;
@@ -554,6 +571,85 @@ fn main() {
             json_f64(forced_s),
             forced.stats.counter("sink/spill_shards"),
             forced.stats.counter("runtime/io_retries"),
+        )
+    };
+
+    // Rung above the dense-bitset ceiling (canonical run only): at
+    // n=32000 the |R|·|S| grid exceeds MAX_BITSET_BITS, so no sink
+    // geometry exists. Every refutation rule of the workload is an
+    // ILFD rectangle, so the run must still stream — without spilling
+    // — produce exactly the generator's ground truth as MT with no
+    // MT ∩ NMT overlap, and count identically at threads 1 and 2.
+    let ceiling_json = if !default_sizes {
+        String::new()
+    } else {
+        let n = 32_000;
+        let w = scaling_workload(n, 42);
+        let pairs = w.r.len() * w.s.len();
+        assert!(
+            pairs as u128 > MAX_BITSET_BITS,
+            "n={n}: {pairs} pairs do not exceed the dense-bitset ceiling"
+        );
+        let mut rows = Vec::new();
+        let mut first: Option<(usize, usize, usize)> = None;
+        for threads in [1usize, 2] {
+            let mut config = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
+            config.join = JoinAlgorithm::Blocked;
+            config.threads = threads;
+            config.kernels = kernels;
+            let matcher = EntityMatcher::new(w.r.clone(), w.s.clone(), config).unwrap();
+            let mut best = f64::INFINITY;
+            let mut outcome = None;
+            for _ in 0..2 {
+                let start = Instant::now();
+                outcome = Some(matcher.run().unwrap());
+                best = best.min(start.elapsed().as_secs_f64());
+            }
+            let o = outcome.unwrap();
+            let emit = o.stats.label("plan/emit").unwrap_or("?").to_string();
+            assert!(
+                emit.starts_with("streamed"),
+                "n={n} threads={threads}: did not stream: {emit}"
+            );
+            assert_eq!(o.stats.counter(counter::SINK_SPILL_BYTES), 0);
+            assert_eq!(o.stats.counter(counter::CLASSIFY_OVERLAP), 0);
+            assert_eq!(o.matching.len(), w.truth.len(), "n={n}: |MT| != |truth|");
+            assert!(
+                w.truth.iter().all(|(r, s)| o.matching.contains(r, s)),
+                "n={n} threads={threads}: MT misses a ground-truth pair"
+            );
+            let counts = (o.matching.len(), o.negative.len(), o.undetermined);
+            assert_eq!(
+                *first.get_or_insert(counts),
+                counts,
+                "n={n}: threads changed counts"
+            );
+            eprintln!(
+                "ceiling n={n} threads={threads}: {best:.4}s, |MT|={} |NMT|={}, {} rectangles",
+                counts.0,
+                counts.1,
+                o.stats.counter(counter::SINK_RECTS)
+            );
+            rows.push(format!(
+                "{{\"threads\": {threads}, \"seconds\": {}, \"pairs_per_sec\": {}, \
+                 \"matching\": {}, \"negative\": {}, \"undetermined\": {}, \
+                 \"rects\": {}, \"sink_bytes\": {}, \"spill_bytes\": 0}}",
+                json_f64(best),
+                json_f64(pairs as f64 / best),
+                counts.0,
+                counts.1,
+                counts.2,
+                o.stats.counter(counter::SINK_RECTS),
+                o.stats.counter(counter::SINK_BYTES),
+            ));
+        }
+        format!(
+            "  \"ceiling\": {{\"n_entities\": {n}, \"r_rows\": {}, \"s_rows\": {}, \
+             \"pairs\": {pairs}, \"max_bitset_bits\": {MAX_BITSET_BITS}, \
+             \"mt_equals_truth\": true, \"overlap\": 0, \"runs\": [\n    {}\n  ]}},\n",
+            w.r.len(),
+            w.s.len(),
+            rows.join(",\n    ")
         )
     };
 
@@ -712,11 +808,13 @@ fn main() {
             "{}",
             "{}",
             "{}",
+            "{}",
             "  \"sizes\": [\n{}\n  ]\n",
             "}}\n"
         ),
         scaling_json,
         spill_json,
+        ceiling_json,
         store_json,
         size_objects.join(",\n")
     );

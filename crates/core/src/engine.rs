@@ -69,6 +69,7 @@ use eid_rules::{
 };
 
 use crate::error::{CoreError, Result};
+use crate::factorized::{FactorizedPairs, Rect};
 use crate::kernels::{self, KernelTally, Mask, Term, TermOp, FULL_MASK, LANES};
 use crate::plan::{
     ArmHint, Emit, EmitHint, EmitMode, ExecMode, MatchPlan, PlanNodeKind, ProbeStrategy,
@@ -109,9 +110,10 @@ pub struct EnginePairs {
     /// Pairs on which a distinctness rule definitely fired (buffered
     /// emission; empty when the run streamed).
     pub negative: Vec<(u32, u32)>,
-    /// The deduped negative pairs when the plan streamed emission
-    /// into sharded bitsets; `None` on buffered runs.
-    pub negative_set: Option<PairSet>,
+    /// The deduped negative pairs when the plan streamed: one
+    /// rectangle per disagreement node plus the residual rules'
+    /// pairs. `None` on buffered runs.
+    pub negative_set: Option<FactorizedPairs>,
 }
 
 impl EnginePairs {
@@ -130,10 +132,19 @@ impl EnginePairs {
     /// length when buffered, the distinct count when streamed.
     pub fn negative_len(&self) -> usize {
         match &self.negative_set {
-            Some(set) => set.count(),
+            Some(set) => set.len(),
             None => self.negative.len(),
         }
     }
+}
+
+/// What one task produced: buffered pairs, or — for a disagreement
+/// plan in a streamed attempt — its refutation rectangle.
+#[derive(Default)]
+struct TaskPairs {
+    matching: Vec<(u32, u32)>,
+    negative: Vec<(u32, u32)>,
+    rect: Option<Rect>,
 }
 
 /// Which of the two encoded relations an operation addresses.
@@ -306,6 +317,10 @@ struct Task {
     /// Exact candidate-pair weight of this chunk — the capacity hint
     /// for refutation output (accept rate there is near 1).
     est_pairs: u64,
+    /// The task hands back its plan's refutation rectangle instead of
+    /// emitting pairs (a disagreement plan in a streamed attempt; one
+    /// task covers all of the plan's drivers).
+    rect: bool,
 }
 
 /// Per-task accounting carried back to the main thread. Workers never
@@ -336,12 +351,12 @@ struct TaskReport {
     spill_trace: Option<(u64, u64, u64)>,
 }
 
-/// The post-scope merge of a streamed attempt's per-worker sinks:
-/// the deduped negative [`PairSet`] plus the accounting `finish`
-/// publishes (sink counters, the merge span, the Sink node's
+/// A streamed attempt's NMT assembly: the rectangles plus the merged
+/// residual sinks as one [`FactorizedPairs`], and the accounting
+/// `finish` publishes (sink counters, the merge span, the Sink node's
 /// actuals).
 struct MergedSink {
-    set: PairSet,
+    set: FactorizedPairs,
     stats: SinkMergeStats,
     /// Summed spill counters of the attempt's [`SpillSink`]s (`None`
     /// on streamed runs) — `sink/spill_*` and `runtime/io_retries`.
@@ -388,13 +403,6 @@ impl PairSink for WorkerSink {
         match self {
             WorkerSink::Mem(s) => s.push_row(i, js),
             WorkerSink::Spill(s) => s.push_row(i, js),
-        }
-    }
-
-    fn push_rows(&mut self, is: &[u32], js: &[u32]) {
-        match self {
-            WorkerSink::Mem(s) => s.push_rows(is, js),
-            WorkerSink::Spill(s) => s.push_rows(is, js),
         }
     }
 }
@@ -960,7 +968,8 @@ impl Executor {
         // independent of the worker count, so output order (= task
         // order = plan order, drivers in driver order) is identical
         // for any thread count.
-        let tasks = build_tasks(&plans);
+        let streamed = plan.emit.mode != EmitMode::Buffered;
+        let tasks = build_tasks(&plans, streamed);
 
         let workers = plan.mode.workers().min(tasks.len()).max(1);
         self.recorder.add(counter::ENGINE_WORKERS, workers as u64);
@@ -986,6 +995,7 @@ impl Executor {
                 &tasks,
                 &indexes,
                 workers_now,
+                streamed,
                 sink_geom,
                 spill_cfg.as_ref(),
                 guard,
@@ -1018,10 +1028,11 @@ impl Executor {
         }
     }
 
-    /// The sink geometry a plan's emission uses: `Some` exactly when
-    /// the plan streams. Computed from the executor's *current* row
-    /// counts at execute time (the planner's shard count in the plan
-    /// node is display-only).
+    /// The sink geometry a plan's residual emission uses: `Some` when
+    /// the plan streams and the grid fits the dense-bitset range
+    /// (above it, residual pairs buffer per task). Computed from the
+    /// executor's *current* row counts at execute time (the planner's
+    /// shard count in the plan node is display-only).
     fn sink_geometry(&self, plan: &MatchPlan) -> Option<SinkGeometry> {
         match plan.emit.mode {
             EmitMode::Streamed | EmitMode::Spilled => {
@@ -1060,16 +1071,13 @@ impl Executor {
         if !self.spill || plan.emit.mode != EmitMode::Streamed {
             return None;
         }
+        // Disagreement vector nodes keep their output as rectangles;
+        // only the scalar refutation nodes' pairs reach the sinks.
         let est_pairs: u64 = plan
             .nodes
             .iter()
             .filter_map(|n| match &n.kind {
                 PlanNodeKind::Refute { .. } => n.est_pairs,
-                PlanNodeKind::VectorScan { rule, .. }
-                    if matches!(rule.family, RuleFamily::Distinct) =>
-                {
-                    n.est_pairs
-                }
                 _ => None,
             })
             .sum();
@@ -1118,16 +1126,16 @@ impl Executor {
             let plans = self.build_plans(kinds, &node_of, &indexes);
             (plans, indexes)
         };
-        let tasks = build_tasks(&plans);
-        // The nested twin went through `rewrite_buffered`, so its
-        // geometry is always `None`; computed anyway for uniformity.
-        let sink_geom = self.sink_geometry(&nested);
+        // The nested twin went through `rewrite_buffered`: no sinks,
+        // no rectangles.
+        let tasks = build_tasks(&plans, false);
         match self.try_run_tasks(
             &plans,
             &tasks,
             &indexes,
             1,
-            sink_geom,
+            false,
+            None,
             None,
             guard,
             epoch,
@@ -1358,7 +1366,7 @@ impl Executor {
         mplan: &MatchPlan,
         plans: &[Plan<'_>],
         tasks: &[Task],
-        outputs: Vec<(EnginePairs, TaskReport)>,
+        outputs: Vec<(TaskPairs, TaskReport)>,
         merged: Option<MergedSink>,
         arm: &str,
     ) -> Result<EnginePairs> {
@@ -1381,6 +1389,8 @@ impl Executor {
             self.recorder
                 .add(counter::SINK_SPILLED_MERGES, ms.stats.spilled_merges);
             self.recorder.add(counter::SINK_BYTES, ms.stats.bytes);
+            self.recorder
+                .add(counter::SINK_RECTS, ms.set.rects() as u64);
             if let Some(sp) = &ms.spill {
                 self.recorder
                     .add(counter::SINK_SPILL_BYTES, sp.spilled_bytes);
@@ -1399,7 +1409,7 @@ impl Executor {
                     .add(&node_counter(node.id, "nanos"), ms.dur_nanos);
                 self.recorder.add(&node_counter(node.id, "tasks"), 1);
                 self.recorder
-                    .add(&node_counter(node.id, "pairs"), ms.stats.distinct);
+                    .add(&node_counter(node.id, "pairs"), ms.set.len() as u64);
             }
             result.negative_set = Some(ms.set);
         }
@@ -1433,7 +1443,7 @@ impl Executor {
         mplan: &MatchPlan,
         plans: &[Plan<'_>],
         tasks: &[Task],
-        outputs: &[(EnginePairs, TaskReport)],
+        outputs: &[(TaskPairs, TaskReport)],
         merged: Option<&MergedSink>,
     ) {
         let task_nanos = self.recorder.histogram(histogram::ENGINE_TASK_NANOS);
@@ -1538,7 +1548,7 @@ impl Executor {
         mplan: &MatchPlan,
         plans: &[Plan<'_>],
         tasks: &[Task],
-        outputs: &[(EnginePairs, TaskReport)],
+        outputs: &[(TaskPairs, TaskReport)],
         merged: Option<&MergedSink>,
     ) {
         if !self.trace_enabled {
@@ -1619,7 +1629,7 @@ impl Executor {
                 tid,
                 nid,
                 ms.start_nanos,
-                ms.stats.distinct,
+                ms.set.len() as u64,
             ));
             group.push(TraceEvent::end(
                 &name,
@@ -1646,7 +1656,9 @@ impl Executor {
     }
 
     /// Runs the task queue under the guard; on success, outputs come
-    /// back ordered by task id regardless of which worker ran what.
+    /// back ordered by task id regardless of which worker ran what,
+    /// and a `streamed` attempt's negative table comes back assembled
+    /// (rectangles plus merged residual sinks).
     ///
     /// Every task executes under `catch_unwind` (with `fault_site`
     /// armed as an injection point): a panic poisons the attempt, the
@@ -1661,6 +1673,7 @@ impl Executor {
         tasks: &[Task],
         indexes: &Indexes,
         workers: usize,
+        streamed: bool,
         sink_geom: Option<SinkGeometry>,
         spill: Option<&SpillConfig>,
         guard: &RunGuard,
@@ -1690,7 +1703,7 @@ impl Executor {
         // 8-bytes-per-pair output model.
         let measured = eid_obs::alloc::active();
         let drain = |worker: u32| {
-            let mut local: Vec<(usize, (EnginePairs, TaskReport))> = Vec::new();
+            let mut local: Vec<(usize, (TaskPairs, TaskReport))> = Vec::new();
             // Streamed plans give each worker its own sink over the
             // full pair grid, sharded by driver-row range: workers
             // touch disjoint shard *rows* only by accident, so no
@@ -1732,16 +1745,21 @@ impl Executor {
                 match run {
                     Ok(mut out) => {
                         out.1.worker = worker;
-                        out.1.neg_pushed =
-                            sink.as_ref().map_or(0, WorkerSink::pushes) - pushed_before;
+                        let rect = out.0.rect.as_ref();
+                        out.1.neg_pushed = sink.as_ref().map_or(0, WorkerSink::pushes)
+                            - pushed_before
+                            + rect.map_or(0, Rect::pairs);
                         let pairs = out.0.matching.len() + out.0.negative.len();
                         let bytes = if measured {
                             eid_obs::alloc::thread_allocated().saturating_sub(before)
                         } else {
-                            // Model mode: 8 bytes per buffered pair
-                            // plus whatever shard words this task's
-                            // pushes forced the sink to materialize.
-                            8 * pairs as u64 + sink.as_mut().map_or(0, WorkerSink::take_new_bytes)
+                            // Model mode: 8 bytes per buffered pair,
+                            // the rectangle's two bitmaps, plus
+                            // whatever shard words this task's pushes
+                            // forced the sink to materialize.
+                            8 * pairs as u64
+                                + rect.map_or(0, Rect::bytes)
+                                + sink.as_mut().map_or(0, WorkerSink::take_new_bytes)
                         };
                         guard.charge_bytes(bytes);
                         // Task boundary: cooperatively spill resident
@@ -1781,7 +1799,7 @@ impl Executor {
             }
             (local, sink)
         };
-        let mut slots: Vec<(usize, (EnginePairs, TaskReport))> = Vec::with_capacity(tasks.len());
+        let mut slots: Vec<(usize, (TaskPairs, TaskReport))> = Vec::with_capacity(tasks.len());
         let mut worker_sinks: Vec<WorkerSink> = Vec::new();
         if workers == 1 {
             let (local, sink) = drain(0);
@@ -1841,99 +1859,101 @@ impl Executor {
         if poisoned.load(Ordering::Relaxed) {
             return Err(TaskFailure::Poisoned { completed });
         }
-        let merged = match sink_geom {
-            None => None,
-            Some(geom) => {
-                // The merged set is one more full grid; charge it
-                // before merging so a memory budget trips here, not
-                // after the allocation.
+        let merged = if streamed {
+            let aborted = |reason| {
+                TaskFailure::Aborted(TaskAbort {
+                    reason,
+                    completed,
+                    tasks_total: tasks.len() as u64,
+                    matching: partial_matching(),
+                    negative: partial_negative(),
+                })
+            };
+            // A residual grid is merged only when some worker pushed
+            // into its sink; charge it before merging so a memory
+            // budget trips here, not after the allocation.
+            let residual_geom = sink_geom.filter(|_| worker_sinks.iter().any(|s| s.pushes() > 0));
+            if let Some(geom) = residual_geom {
                 guard.charge_bytes(geom.grid_bytes());
-                if let Err(reason) = guard.checkpoint() {
-                    return Err(TaskFailure::Aborted(TaskAbort {
-                        reason,
-                        completed,
-                        tasks_total: tasks.len() as u64,
-                        matching: partial_matching(),
-                        negative: partial_negative(),
-                    }));
-                }
-                let start_nanos = epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                let start = Instant::now();
-                if spill.is_some() {
-                    // Spilled merge: stream each worker's on-disk
-                    // segments back in row-range order and OR them
-                    // with whatever stayed resident.
-                    let mut spill_sinks: Vec<SpillSink> = worker_sinks
-                        .into_iter()
-                        .filter_map(|ws| match ws {
-                            WorkerSink::Spill(s) => Some(s),
-                            WorkerSink::Mem(_) => None,
-                        })
-                        .collect();
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        eid_fault::maybe_panic("engine/sink_merge");
-                        sink::merge_spilled(&geom, &mut spill_sinks)
-                    }));
-                    let mut spill_stats = SpillStats::default();
-                    for s in &spill_sinks {
-                        spill_stats.absorb(&s.stats());
-                    }
-                    match run {
-                        Ok(Ok((set, stats))) => {
-                            let dur_nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            Some(MergedSink {
-                                set,
-                                stats,
-                                spill: Some(spill_stats),
-                                start_nanos,
-                                dur_nanos,
-                            })
-                        }
-                        // Segment read-back failed after retries:
-                        // terminal spill failure, the ladder drops to
-                        // streamed emission. Publish the retries spent
-                        // here since this attempt's stats are
-                        // otherwise discarded.
-                        Ok(Err(_)) => {
-                            self.recorder
-                                .add(counter::RUNTIME_IO_RETRIES, spill_stats.retries);
-                            return Err(TaskFailure::SpillFailed { completed });
-                        }
-                        // A merge panic poisons the attempt like a
-                        // task panic: the ladder reruns the whole
-                        // attempt (and the merge) on the next rung.
-                        Err(_) => return Err(TaskFailure::Poisoned { completed }),
-                    }
-                } else {
-                    let mem_sinks: Vec<ShardedSink> = worker_sinks
-                        .into_iter()
-                        .filter_map(|ws| match ws {
-                            WorkerSink::Mem(s) => Some(s),
-                            WorkerSink::Spill(_) => None,
-                        })
-                        .collect();
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        eid_fault::maybe_panic("engine/sink_merge");
-                        sink::merge_shards(&geom, &mem_sinks)
-                    }));
-                    match run {
-                        Ok((set, stats)) => {
-                            let dur_nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            Some(MergedSink {
-                                set,
-                                stats,
-                                spill: None,
-                                start_nanos,
-                                dur_nanos,
-                            })
-                        }
-                        // A merge panic poisons the attempt like a task
-                        // panic: the ladder reruns the whole attempt (and
-                        // the merge) on the next rung.
-                        Err(_) => return Err(TaskFailure::Poisoned { completed }),
-                    }
+                guard.checkpoint().map_err(aborted)?;
+            }
+            // Without a sink geometry the residual rules buffered
+            // their pairs per task; they join the table here.
+            let mut rects: Vec<Rect> = Vec::new();
+            let mut listed: Vec<(u32, u32)> = Vec::new();
+            for (_, (out, _)) in slots.iter_mut() {
+                rects.extend(out.rect.take());
+                listed.append(&mut out.negative);
+            }
+            let start_nanos = epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let start = Instant::now();
+            let (r_len, s_len) = (self.cols_r.rows(), self.cols_s.rows());
+            let mut spill_sinks: Vec<SpillSink> = Vec::new();
+            let mut mem_sinks: Vec<ShardedSink> = Vec::new();
+            for ws in worker_sinks {
+                match ws {
+                    WorkerSink::Spill(s) => spill_sinks.push(s),
+                    WorkerSink::Mem(s) => mem_sinks.push(s),
                 }
             }
+            // One assembly per streamed attempt, behind the merge fault
+            // site: a panic here poisons the attempt like a task panic,
+            // and the ladder reruns the whole attempt (and the merge)
+            // on the next rung.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                eid_fault::maybe_panic("engine/sink_merge");
+                let (residual, stats) = match residual_geom {
+                    Some(geom) if spill.is_some() => {
+                        // Spilled merge: stream each worker's on-disk
+                        // segments back in row-range order and OR them
+                        // with whatever stayed resident.
+                        let (set, stats) = sink::merge_spilled(&geom, &mut spill_sinks)?;
+                        (Some(set), stats)
+                    }
+                    Some(geom) => {
+                        let (set, stats) = sink::merge_shards(&geom, &mem_sinks);
+                        (Some(set), stats)
+                    }
+                    None if listed.is_empty() => (None, SinkMergeStats::default()),
+                    None => {
+                        let mut set = PairSet::new(r_len, s_len, listed.len());
+                        for &(i, j) in &listed {
+                            set.insert(i, j);
+                        }
+                        (Some(set), SinkMergeStats::default())
+                    }
+                };
+                let set = FactorizedPairs::new(r_len, s_len, rects, residual);
+                Ok::<_, std::io::Error>((set, stats))
+            }));
+            let spill_stats = spill.map(|_| {
+                let mut total = SpillStats::default();
+                for s in &spill_sinks {
+                    total.absorb(&s.stats());
+                }
+                total
+            });
+            match run {
+                Ok(Ok((set, stats))) => Some(MergedSink {
+                    set,
+                    stats,
+                    spill: spill_stats,
+                    start_nanos,
+                    dur_nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                }),
+                // Segment read-back failed after retries: terminal
+                // spill failure, the ladder drops to streamed
+                // emission. Publish the retries spent here since this
+                // attempt's stats are otherwise discarded.
+                Ok(Err(_)) => {
+                    let retries = spill_stats.map_or(0, |s| s.retries);
+                    self.recorder.add(counter::RUNTIME_IO_RETRIES, retries);
+                    return Err(TaskFailure::SpillFailed { completed });
+                }
+                Err(_) => return Err(TaskFailure::Poisoned { completed }),
+            }
+        } else {
+            None
         };
         Ok((slots.into_iter().map(|(_, out)| out).collect(), merged))
     }
@@ -1949,7 +1969,7 @@ impl Executor {
         indexes: &Indexes,
         epoch: Instant,
         sink: Option<&mut WorkerSink>,
-    ) -> (EnginePairs, TaskReport) {
+    ) -> (TaskPairs, TaskReport) {
         let mut tracer = self.trace_enabled.then(|| TaskTracer::new(epoch));
         let start_nanos = epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let start = Instant::now();
@@ -1974,10 +1994,11 @@ impl Executor {
         )
     }
 
-    /// Dispatches the task's negative emission: into the worker's
-    /// streaming sink when the plan streamed, into the task-local
-    /// `negative` buffer otherwise. Matching pairs always buffer —
-    /// the matching table is tiny.
+    /// Dispatches the task's negative emission: a rectangle task
+    /// hands back its plan's refutation rectangle; otherwise pairs go
+    /// into the worker's streaming sink when the attempt has one, into
+    /// the task-local `negative` buffer otherwise. Matching pairs
+    /// always buffer — the matching table is tiny.
     fn run_task(
         &self,
         plans: &[Plan<'_>],
@@ -1985,9 +2006,16 @@ impl Executor {
         indexes: &Indexes,
         tracer: Option<&mut TaskTracer>,
         sink: Option<&mut WorkerSink>,
-    ) -> (EnginePairs, Tally, KernelTally) {
-        let mut out = EnginePairs::default();
+    ) -> (TaskPairs, Tally, KernelTally) {
+        let mut out = TaskPairs::default();
         let mut kernel = KernelTally::default();
+        let plan = &plans[task.plan];
+        if let (true, PlanKind::VectorDisagree { shape, .. }) = (task.rect, &plan.kind) {
+            let drivers = &plan.drivers[task.drivers.clone()];
+            let (rect, tally) = self.disagree_rect(shape, drivers, indexes);
+            out.rect = Some(rect);
+            return (out, tally, kernel);
+        }
         let tally = match sink {
             Some(s) => self.run_task_kind(
                 plans,
@@ -1999,7 +2027,7 @@ impl Executor {
                 &mut kernel,
             ),
             None => {
-                let EnginePairs {
+                let TaskPairs {
                     matching, negative, ..
                 } = &mut out;
                 self.run_task_kind(
@@ -2356,21 +2384,13 @@ impl Executor {
         indexes: &Indexes,
         out: &mut S,
     ) -> Tally {
-        let neq_side = RelSide::from(shape.neq.0);
-        let lit_side = neq_side.opposite();
-        let lit_lits = match neq_side {
-            RelSide::R => &shape.s_lits,
-            RelSide::S => &shape.r_lits,
-        };
-        let lit_vec = indexes
-            .lit_rows(lit_side, lit_lits, self.side_rows(lit_side))
-            .to_vec();
+        let (neq_side, lit_rows) = self.disagree_lit_rows(shape, indexes);
+        let lit_vec = lit_rows.to_vec();
         match neq_side {
             RelSide::R => {
-                // Bulk cross-product emission: the sharded sink ORs a
-                // prebuilt row template per driver instead of setting
-                // bits one by one.
-                out.push_rows(drivers, &lit_vec);
+                for &i in drivers {
+                    out.push_row(i, &lit_vec);
+                }
             }
             RelSide::S => {
                 for &j in drivers {
@@ -2385,6 +2405,51 @@ impl Executor {
             candidates: pairs,
             accepted: pairs,
         }
+    }
+
+    /// The streamed twin of [`Executor::run_vector_disagree`]: the
+    /// same (driver, literal-row) product, kept as one rectangle of
+    /// two row bitmaps instead of emitted pair by pair. The tally is
+    /// the product's size, exactly what the emitting twin counts.
+    fn disagree_rect(
+        &self,
+        shape: &InternedDistinctShape,
+        drivers: &[u32],
+        indexes: &Indexes,
+    ) -> (Rect, Tally) {
+        let (neq_side, lit_rows) = self.disagree_lit_rows(shape, indexes);
+        let (r_len, s_len) = (self.cols_r.rows(), self.cols_s.rows());
+        let rect = match neq_side {
+            RelSide::R => Rect::new(r_len, s_len, drivers.iter().copied(), lit_rows.iter()),
+            RelSide::S => Rect::new(r_len, s_len, lit_rows.iter(), drivers.iter().copied()),
+        };
+        let pairs = drivers.len() as u64 * lit_rows.len() as u64;
+        (
+            rect,
+            Tally::Block {
+                candidates: pairs,
+                accepted: pairs,
+            },
+        )
+    }
+
+    /// The `≠` side of a disagreement shape and the opposite side's
+    /// literal block every driver pairs with.
+    fn disagree_lit_rows<'i>(
+        &self,
+        shape: &InternedDistinctShape,
+        indexes: &'i Indexes,
+    ) -> (RelSide, LitRows<'i>) {
+        let neq_side = RelSide::from(shape.neq.0);
+        let lit_side = neq_side.opposite();
+        let lit_lits = match neq_side {
+            RelSide::R => &shape.s_lits,
+            RelSide::S => &shape.r_lits,
+        };
+        (
+            neq_side,
+            indexes.lit_rows(lit_side, lit_lits, self.side_rows(lit_side)),
+        )
     }
 
     /// Flushes one block plan's aggregated tallies: global blocking
@@ -2766,8 +2831,8 @@ impl TaskAbort {
 }
 
 /// One completed task-queue attempt: the per-task pair outputs plus
-/// the merged streaming sinks, when the attempt ran streamed.
-type TaskRun = (Vec<(EnginePairs, TaskReport)>, Option<MergedSink>);
+/// the assembled negative table, when the attempt ran streamed.
+type TaskRun = (Vec<(TaskPairs, TaskReport)>, Option<MergedSink>);
 
 /// Why one task-queue attempt did not complete.
 enum TaskFailure {
@@ -2783,15 +2848,27 @@ enum TaskFailure {
     SpillFailed { completed: u64 },
 }
 
-/// Chunks every plan into the task list the workers drain.
-fn build_tasks(plans: &[Plan<'_>]) -> Vec<Task> {
+/// Chunks every plan into the task list the workers drain. In a
+/// `streamed` attempt a disagreement plan is one rectangle task over
+/// all its drivers, pre-charged the rectangle's full pair count.
+fn build_tasks(plans: &[Plan<'_>], streamed: bool) -> Vec<Task> {
     let mut tasks: Vec<Task> = Vec::new();
     for (pid, plan) in plans.iter().enumerate() {
+        if streamed && matches!(plan.kind, PlanKind::VectorDisagree { .. }) {
+            tasks.push(Task {
+                plan: pid,
+                drivers: 0..plan.drivers.len(),
+                est_pairs: plan.total_weight(),
+                rect: true,
+            });
+            continue;
+        }
         for (drivers, est_pairs) in chunk_ranges(plan) {
             tasks.push(Task {
                 plan: pid,
                 drivers,
                 est_pairs,
+                rect: false,
             });
         }
     }

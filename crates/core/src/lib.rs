@@ -95,6 +95,7 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod extend;
+pub mod factorized;
 pub mod incremental;
 pub mod integrate;
 pub mod job;
@@ -118,6 +119,7 @@ pub use conflict::{AttributeConflict, ConflictPolicy, Unified};
 pub use engine::{BlockedEngine, EnginePairs, Executor, RelSide};
 pub use error::{CoreError, Result};
 pub use explain::{explain_match, render_plan, MatchExplanation, Support};
+pub use factorized::{FactorizedPairs, Rect};
 pub use incremental::{Delta, IncrementalMatcher, SideSel};
 pub use integrate::IntegratedTable;
 pub use job::{IntegrationJob, IntegrationReport};

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use eid_relational::{AttrName, FxHashSet, Relation, Schema, Tuple};
 
 use crate::error::{CoreError, Result};
-use crate::sink::PairSet;
+use crate::factorized::FactorizedPairs;
 
 /// One entry: the key projections of a matched (or provably
 /// unmatched) tuple pair.
@@ -31,25 +31,22 @@ pub struct PairEntry {
 }
 
 /// Row-index storage inside a compact table: an explicit pair list,
-/// or the streamed sink's deduplicated bitset. The set form is what
-/// lets the streamed convert step finish without ever materializing
-/// the (potentially tens-of-MB) index list — it decodes straight to
-/// entries if and when a consumer crosses into `Value`-land.
+/// or the streamed run's factorized set. The set form is what lets
+/// the streamed convert step finish without ever materializing the
+/// (potentially hundreds-of-millions-long) index list — it decodes
+/// straight to entries if and when a consumer crosses into
+/// `Value`-land.
 #[derive(Debug, Clone)]
 enum PairIndexes {
     List(Vec<(u32, u32)>),
-    Set {
-        set: PairSet,
-        /// Cached cardinality so `len` stays O(1).
-        count: usize,
-    },
+    Set(FactorizedPairs),
 }
 
 impl PairIndexes {
     fn len(&self) -> usize {
         match self {
             PairIndexes::List(pairs) => pairs.len(),
-            PairIndexes::Set { count, .. } => *count,
+            PairIndexes::Set(set) => set.len(),
         }
     }
 }
@@ -72,7 +69,7 @@ impl CompactPairs {
         };
         match &self.pairs {
             PairIndexes::List(pairs) => pairs.iter().copied().map(entry).collect(),
-            PairIndexes::Set { set, .. } => set.to_pairs().into_iter().map(entry).collect(),
+            PairIndexes::Set(set) => set.to_pairs().into_iter().map(entry).collect(),
         }
     }
 }
@@ -147,19 +144,18 @@ impl PairTable {
         }
     }
 
-    /// Creates a table whose row-index pairs are a deduplicated
-    /// [`PairSet`] — the streamed sink's merged bitset. Nothing is
-    /// decoded up front: the set decodes to ascending-order entries
-    /// on first [`PairTable::entries`] access, so the bulk pipeline
-    /// never pays for an explicit index list it may never read.
+    /// Creates a table whose row-index pairs are a streamed run's
+    /// [`FactorizedPairs`]. Nothing is decoded up front: the set
+    /// decodes to ascending-order entries on first
+    /// [`PairTable::entries`] access, so the bulk pipeline never pays
+    /// for an explicit index list it may never read.
     pub fn from_compact_set(
         r_key_attrs: Vec<AttrName>,
         s_key_attrs: Vec<AttrName>,
         pk_r: Arc<[Tuple]>,
         pk_s: Arc<[Tuple]>,
-        set: PairSet,
+        set: FactorizedPairs,
     ) -> Self {
-        let count = set.count();
         PairTable {
             r_key_attrs,
             s_key_attrs,
@@ -167,7 +163,7 @@ impl PairTable {
                 pairs: CompactPairs {
                     pk_r,
                     pk_s,
-                    pairs: PairIndexes::Set { set, count },
+                    pairs: PairIndexes::Set(set),
                 },
                 decoded: OnceCell::new(),
             },
@@ -315,17 +311,50 @@ impl PairTable {
     }
 
     /// Checks the **consistency constraint** against a negative
-    /// table: no pair may appear in both.
+    /// table: no pair may appear in both. When both tables are
+    /// compact over the same key pools the check stays in row-index
+    /// space — relations are key-enforced, so row identity is key
+    /// identity — and the negative table is never decoded.
     pub fn verify_consistency(&self, negative: &PairTable) -> Result<()> {
-        let negative_seen = negative.seen();
-        for e in self.entries() {
-            if negative_seen.contains(e) {
-                return Err(CoreError::ConsistencyViolation {
-                    pair: format!("({}, {})", e.r_key, e.s_key),
-                });
+        let violation = |e: &PairEntry| CoreError::ConsistencyViolation {
+            pair: format!("({}, {})", e.r_key, e.s_key),
+        };
+        if let (Backing::Compact { pairs: mine, .. }, Backing::Compact { pairs: theirs, .. }) =
+            (&self.backing, &negative.backing)
+        {
+            if let (PairIndexes::List(mt), true) = (
+                &mine.pairs,
+                Arc::ptr_eq(&mine.pk_r, &theirs.pk_r) && Arc::ptr_eq(&mine.pk_s, &theirs.pk_s),
+            ) {
+                let first = match &theirs.pairs {
+                    PairIndexes::Set(nmt) => mt.iter().find(|&&(i, j)| nmt.contains(i, j)),
+                    PairIndexes::List(nmt) => {
+                        // Hash the (small) matching side and sweep the
+                        // negative list once.
+                        let packed = |(i, j): (u32, u32)| ((i as u64) << 32) | j as u64;
+                        let mt_set: FxHashSet<u64> = mt.iter().map(|&p| packed(p)).collect();
+                        let hits: FxHashSet<u64> = nmt
+                            .iter()
+                            .map(|&p| packed(p))
+                            .filter(|p| mt_set.contains(p))
+                            .collect();
+                        mt.iter().find(|&&p| hits.contains(&packed(p)))
+                    }
+                };
+                return match first {
+                    Some(&(i, j)) => Err(violation(&PairEntry {
+                        r_key: mine.pk_r[i as usize].clone(),
+                        s_key: mine.pk_s[j as usize].clone(),
+                    })),
+                    None => Ok(()),
+                };
             }
         }
-        Ok(())
+        let negative_seen = negative.seen();
+        match self.entries().iter().find(|e| negative_seen.contains(e)) {
+            Some(e) => Err(violation(e)),
+            None => Ok(()),
+        }
     }
 
     /// Renders the table as a relation whose attributes are the `R`
@@ -498,6 +527,70 @@ mod tests {
         assert!(mt.verify_consistency(&nmt).is_err());
         let empty = table();
         assert!(mt.verify_consistency(&empty).is_ok());
+    }
+
+    /// The compact consistency check (row-index membership, no NMT
+    /// decode) must agree with the decoded row-backed check — on a
+    /// clean pair and with an injected overlap, for both compact NMT
+    /// forms — and name the same first violating pair.
+    #[test]
+    fn compact_consistency_check_agrees_with_the_row_backed_path() {
+        use crate::factorized::{FactorizedPairs, Rect};
+        use crate::sink::PairSet;
+
+        let keys = |prefix: &str, n: usize| -> Arc<[Tuple]> {
+            (0..n)
+                .map(|i| Tuple::of_strs(&[&format!("{prefix}{i}"), "k"]))
+                .collect()
+        };
+        let (pk_r, pk_s) = (keys("r", 6), keys("s", 5));
+        let attrs = || {
+            (
+                vec![AttrName::new("name"), AttrName::new("cuisine")],
+                vec![AttrName::new("name"), AttrName::new("speciality")],
+            )
+        };
+        let rows = |t: &PairTable| {
+            let (ra, sa) = attrs();
+            let mut out = PairTable::new(ra, sa);
+            out.extend_unique(t.entries().iter().cloned());
+            out
+        };
+        let nmt_pairs = [(0u32, 1u32), (4, 4), (5, 0)];
+        for mt_pairs in [
+            vec![(0u32, 0u32), (1, 1), (2, 2)],
+            vec![(0, 0), (4, 4), (5, 0)],
+        ] {
+            let (ra, sa) = attrs();
+            let mt = PairTable::from_compact(ra, sa, pk_r.clone(), pk_s.clone(), mt_pairs);
+            let (ra, sa) = attrs();
+            let listed =
+                PairTable::from_compact(ra, sa, pk_r.clone(), pk_s.clone(), nmt_pairs.to_vec());
+            let mut residual = PairSet::new(6, 5, 0);
+            residual.insert(0, 1);
+            let set = FactorizedPairs::new(
+                6,
+                5,
+                vec![Rect::new(6, 5, [4, 5], [0]), Rect::new(6, 5, [4], [4])],
+                Some(residual),
+            );
+            let (ra, sa) = attrs();
+            let factorized = PairTable::from_compact_set(ra, sa, pk_r.clone(), pk_s.clone(), set);
+            let want = rows(&mt)
+                .verify_consistency(&rows(&listed))
+                .map_err(|e| e.to_string());
+            for nmt in [&listed, &factorized] {
+                let got = mt.verify_consistency(nmt).map_err(|e| e.to_string());
+                assert_eq!(got, want);
+            }
+        }
+        let (ra, sa) = attrs();
+        let overlapping = PairTable::from_compact(ra, sa, pk_r, pk_s, vec![(4, 4)]);
+        let err = overlapping
+            .verify_consistency(&rows(&overlapping))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("r4") && err.contains("s4"), "{err}");
     }
 
     #[test]

@@ -45,6 +45,7 @@ use eid_rules::{ExtendedKey, RuleBase};
 use crate::engine::{EnginePairs, Executor};
 use crate::error::{CoreError, Result};
 use crate::extend::{extend_relation, Extended};
+use crate::factorized::FactorizedPairs;
 use crate::match_table::PairTable;
 use crate::plan::{
     ArmHint, EmitHint, ExecMode, MatchPlan, PlanNodeKind, ProbeStrategy, StatsSource,
@@ -61,27 +62,30 @@ use crate::store::Dataset;
 /// there, so it only adds spawn latency and cold-arena page faults.
 const PARALLEL_CONVERT_MIN: usize = 50_000;
 
-/// First-occurrence dedup of an engine pair list, in id space. Takes
-/// the list by value and filters it in place: at n=3200 the negative
-/// list is ~40 MB, and a second allocation of that size is re-faulted
-/// from fresh zero pages on every run (it exceeds glibc's mmap
-/// threshold cap, so the pages are returned to the kernel on free).
-fn dedup_pairs(
-    mut list: Vec<(u32, u32)>,
-    r_len: usize,
-    s_len: usize,
-) -> (Vec<(u32, u32)>, PairSet) {
-    let mut set = PairSet::new(r_len, s_len, list.len());
+/// First-occurrence dedup of an engine pair list through `set`, in
+/// id space. Takes the list by value and filters it in place: at
+/// n=3200 the buffered negative list is ~40 MB, and a second
+/// allocation of that size is re-faulted from fresh zero pages on
+/// every run (it exceeds glibc's mmap threshold cap, so the pages are
+/// returned to the kernel on free).
+fn dedup_pairs(mut list: Vec<(u32, u32)>, mut set: PairSet) -> (Vec<(u32, u32)>, PairSet) {
     list.retain(|&(i, j)| set.insert(i, j));
     (list, set)
 }
 
-/// Dedups both raw engine pair lists — the one convert code path for
-/// the parallel and serial cases alike. With `parallel` set, the
-/// negative list dedups on a scoped worker while the main thread
-/// handles the matching list; the two are independent until the
-/// overlap count. A worker that dies takes the raw negative list with
-/// it — there is nothing to degrade to, so that surfaces as
+/// The matching list's dedup: a hash set of packed pairs, sized by
+/// the (small) list rather than by the `|R|·|S|` grid.
+fn dedup_matching(list: Vec<(u32, u32)>) -> (Vec<(u32, u32)>, PairSet) {
+    let set = PairSet::hashed(list.len());
+    dedup_pairs(list, set)
+}
+
+/// Dedups both raw engine pair lists of a buffered run — the one
+/// convert code path for the parallel and serial cases alike. With
+/// `parallel` set, the negative list dedups on a scoped worker while
+/// the main thread handles the matching list; the two are independent
+/// until the overlap count. A worker that dies takes the raw negative
+/// list with it — there is nothing to degrade to, so that surfaces as
 /// [`CoreError::WorkerPanic`].
 type DedupedPairs = ((Vec<(u32, u32)>, PairSet), (Vec<(u32, u32)>, PairSet));
 
@@ -92,10 +96,14 @@ fn dedup_pair_lists(
     s_len: usize,
     parallel: bool,
 ) -> Result<DedupedPairs> {
+    let dedup_negative = |list: Vec<(u32, u32)>| {
+        let set = PairSet::new(r_len, s_len, list.len());
+        dedup_pairs(list, set)
+    };
     if parallel {
         std::thread::scope(|scope| {
-            let neg = scope.spawn(|| dedup_pairs(raw_negative, r_len, s_len));
-            let mat = dedup_pairs(raw_matching, r_len, s_len);
+            let neg = scope.spawn(|| dedup_negative(raw_negative));
+            let mat = dedup_matching(raw_matching);
             match neg.join() {
                 Ok(n) => Ok((mat, n)),
                 Err(_) => Err(CoreError::WorkerPanic {
@@ -104,10 +112,7 @@ fn dedup_pair_lists(
             }
         })
     } else {
-        Ok((
-            dedup_pairs(raw_matching, r_len, s_len),
-            dedup_pairs(raw_negative, r_len, s_len),
-        ))
+        Ok((dedup_matching(raw_matching), dedup_negative(raw_negative)))
     }
 }
 
@@ -486,8 +491,9 @@ impl EntityMatcher {
         let convert_span = recorder.span(span::CONVERT);
         let convert_stage = StageScope::enter(alloc_slot::CONVERT);
         // Stay in id space: dedup the raw pair lists on row indices
-        // (dense bitsets when the pair grid is small enough), count
-        // the MT/NMT overlap by popcount, and hand the tables
+        // (a hash set for MT; a dense bitset for a buffered NMT when
+        // the pair grid is small enough), count the MT/NMT overlap by
+        // NMT membership of each MT pair, and hand the tables
         // *compact* pair lists plus shared per-row key pools. Key
         // tuples are projected once per row — never per pair — and
         // entry rows only materialize if a consumer asks for
@@ -524,18 +530,15 @@ impl EntityMatcher {
             recorder.add(counter::RUNTIME_CONVERT_SERIAL_FALLBACK, 1);
         }
         // The negative side of a streamed run needs no convert work
-        // at all: the merged bitset IS the deduplicated table index,
+        // at all: the factorized set IS the deduplicated table index,
         // handed to `PairTable` as-is (entries decode lazily). Only
         // buffered runs still dedup an explicit negative pair list.
         enum NegIndexes {
-            Streamed(PairSet),
+            Streamed(FactorizedPairs),
             Buffered(Vec<(u32, u32)>, PairSet),
         }
         let ((m_pairs, m_set), neg) = match negative_set {
-            Some(n_set) => (
-                dedup_pairs(raw_matching, r_len, s_len),
-                NegIndexes::Streamed(n_set),
-            ),
+            Some(n_set) => (dedup_matching(raw_matching), NegIndexes::Streamed(n_set)),
             None => {
                 let (m, (n_pairs, n_set)) = dedup_pair_lists(
                     raw_matching,
@@ -551,8 +554,9 @@ impl EntityMatcher {
         // the engine's 8-bytes-per-pair model: charge convert's own
         // allocations — the dedup sets' capacity — so `--max-mem-mb`
         // trips consistently in both accounting modes. A streamed
-        // negative grid was already charged by the engine at shard
-        // merge, and nothing new materializes for it here.
+        // negative table was already charged by the engine (rectangle
+        // bitmaps per task, the residual grid at merge), and nothing
+        // new materializes for it here.
         if !alloc::active() {
             let convert_bytes = m_set.capacity_bytes()
                 + match &neg {
@@ -563,10 +567,11 @@ impl EntityMatcher {
             guard.checkpoint().map_err(|r| abort_of(guard, r))?;
         }
         let overlap = match &neg {
-            // Bitset × bitset: the overlap is a popcount zip, no
-            // explicit pair list needed on either side.
-            NegIndexes::Streamed(n_set) => m_set.intersection_count(&[], n_set),
-            NegIndexes::Buffered(n_pairs, n_set) => m_set.intersection_count(n_pairs, n_set),
+            NegIndexes::Streamed(n_set) => n_set.intersection_count(&m_pairs),
+            NegIndexes::Buffered(_, n_set) => m_pairs
+                .iter()
+                .filter(|&&(i, j)| n_set.contains(i, j))
+                .count(),
         };
         let matching = PairTable::from_compact(
             self.r.schema().primary_key(),

@@ -147,11 +147,13 @@ pub enum PlanNodeKind {
     },
     /// First-occurrence dedup of the raw pair lists (id space).
     Dedup,
-    /// Post-scope merge of the streamed per-worker bitset shards
-    /// into one deduped [`PairSet`](crate::sink::PairSet). Replaces
-    /// `Dedup` when [`MatchPlan::emit`] is streamed: dedup already
-    /// happened at emission time, so the convert stage collapses
-    /// onto the merged shards.
+    /// Post-scope assembly of the streamed negative table: the
+    /// disagreement nodes' rectangles plus the per-worker bitset
+    /// shards of the other refutation rules, merged into one deduped
+    /// [`FactorizedPairs`](crate::factorized::FactorizedPairs).
+    /// Replaces `Dedup` when [`MatchPlan::emit`] is streamed: dedup
+    /// already happened at emission time, so the convert stage
+    /// collapses onto the assembled set.
     Sink {
         /// Row-range shard count of the sink geometry.
         shards: usize,
@@ -262,14 +264,16 @@ impl ArmHint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmitMode {
     /// Per-task `Vec`s merged in task order, deduped by the convert
-    /// stage. Never a planner choice for a streamable plan: only the
-    /// nested-loop oracle, the index-free rewrite, the incremental
-    /// matcher (whose rollback needs raw pair lists), and grids past
-    /// the dense-bitset ceiling buffer.
+    /// stage. Never a planner choice for a plan with a refutation
+    /// phase: only the nested-loop oracle, the index-free rewrite,
+    /// and the incremental matcher (whose rollback needs raw pair
+    /// lists) buffer.
     Buffered,
-    /// Workers emit straight into row-range bitset shards; dedup is
-    /// free at emission and the shards merge post-scope. The raw
-    /// pair list never exists.
+    /// Each vectorized disagreement node keeps its refutations as one
+    /// rectangle of two row bitmaps; the other rules' pairs go
+    /// straight into row-range bitset shards (per-task buffers past
+    /// the dense-bitset ceiling), deduped at emission and merged
+    /// post-scope. The raw pair list never exists.
     Streamed,
     /// Streamed emission whose shards spill to temp files when the
     /// per-worker resident cap is breached; the merge streams spilled
@@ -285,7 +289,8 @@ pub enum EmitMode {
 pub struct Emit {
     /// Buffered vs. streamed vs. spilled emission.
     pub mode: EmitMode,
-    /// Row-range shard count when streamed/spilled (0 when buffered).
+    /// Row-range shard count when streamed/spilled (0 when buffered,
+    /// or when the grid is past the dense-bitset ceiling).
     pub shards: usize,
     /// Parent directory for spill files when spilled (empty = the
     /// platform temp dir). The executor creates a uniquely-named run
@@ -323,9 +328,8 @@ impl Emit {
 /// CLI and bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EmitHint {
-    /// Streamed wherever a refutation phase and a sink geometry
-    /// exist, spilled when the memory budget says the pairs won't
-    /// fit.
+    /// Streamed wherever a refutation phase exists, spilled when the
+    /// memory budget says the sink-bound pairs won't fit.
     #[default]
     Auto,
     /// Force spilled emission (where structurally possible — the

@@ -19,9 +19,11 @@
 //!   one residual pairwise scan; with kernels on, every kernel-shaped
 //!   distinctness rule (and every identity rule whose blocking key
 //!   cannot narrow a bucket) becomes a vectorized scan.
-//! * **Emission** — refuted pairs stream into row-range bitset shards
-//!   wherever a sink geometry exists, and spill to disk when the
-//!   memory budget says they won't fit.
+//! * **Emission** — every run with a refutation phase streams: the
+//!   vectorized disagreement nodes keep their output as rectangles,
+//!   the other refuted pairs go to row-range bitset shards wherever a
+//!   sink geometry exists, and spill to disk when the memory budget
+//!   says those pairs won't fit.
 //!
 //! [`JoinAlgorithm`](crate::JoinAlgorithm) survives only as the
 //! [`ArmHint`] override: `NestedLoop` forces everything to scan,
@@ -298,17 +300,21 @@ impl<'e> Planner<'e> {
         }
     }
 
-    /// The emission decision: buffered for the nested-loop oracle,
-    /// when there is no refutation phase, or when the pair grid falls
-    /// outside the dense-bitset range — the structural fallbacks
-    /// `emit_why` names. Otherwise spilled when the caller forces it
-    /// or the estimated pair bytes exceed the memory budget (and
-    /// spilling is allowed), streamed everywhere else.
+    /// The emission decision: buffered for the nested-loop oracle or
+    /// when there is no refutation phase — the structural fallbacks
+    /// `emit_why` names. Otherwise streamed: `rects` disagreement
+    /// nodes keep their output as rectangles, and the sink-bound pairs
+    /// of the remaining rules (`est_raw_negative`) go to row-range
+    /// bitset shards — or, past the dense-bitset range, to per-task
+    /// buffers. Spilled instead when the caller forces it or those
+    /// pairs' estimated bytes exceed the memory budget (and spilling
+    /// is allowed), wherever shards exist.
     fn choose_emit(
         &self,
         hint: ArmHint,
         record_distinct: bool,
         est_raw_negative: u64,
+        rects: usize,
         workers: usize,
     ) -> (Emit, String) {
         if !matches!(hint, ArmHint::Auto) {
@@ -323,11 +329,22 @@ impl<'e> Planner<'e> {
                 "no refutation phase: nothing worth streaming".into(),
             );
         }
+        let factorized = if rects > 0 {
+            format!("; {rects} disagreement node(s) kept as rectangles")
+        } else {
+            String::new()
+        };
         let Some(geom) = SinkGeometry::new(self.rows_r, self.rows_s) else {
             return (
-                Emit::buffered(),
+                Emit {
+                    mode: EmitMode::Streamed,
+                    shards: 0,
+                    dir: String::new(),
+                    shard_bytes: 0,
+                },
                 format!(
-                    "{}×{} pair grid outside the dense-bitset range",
+                    "est {est_raw_negative} raw negative pairs: {}×{} pair grid outside the \
+                     dense-bitset range, residual pairs buffered per task{factorized}",
                     self.rows_r, self.rows_s
                 ),
             );
@@ -373,7 +390,7 @@ impl<'e> Planner<'e> {
             },
             format!(
                 "est {est_raw_negative} raw negative pairs: workers emit into {} \
-                 row-range bitset shards, dedup free at emission",
+                 row-range bitset shards, dedup free at emission{factorized}",
                 geom.shard_count
             ),
         )
@@ -636,13 +653,27 @@ impl<'e> Planner<'e> {
             }
         }
 
+        // Only the pairs that reach the sinks count: a disagreement
+        // vector node's output stays a rectangle.
+        let is_rect = |r: &RuleRef, c: &Choice| {
+            matches!(r.family, RuleFamily::Distinct) && matches!(c, Choice::Vector { .. })
+        };
+        let rects = rule_plan
+            .iter()
+            .filter(|(r, c, _, _)| is_rect(r, c))
+            .count();
         let est_raw_negative: u64 = rule_plan
             .iter()
-            .filter(|(r, _, _, _)| matches!(r.family, RuleFamily::Distinct))
+            .filter(|(r, c, _, _)| matches!(r.family, RuleFamily::Distinct) && !is_rect(r, c))
             .map(|(_, _, _, est)| *est)
             .sum();
-        let (emit, emit_why) =
-            self.choose_emit(hint, record_distinct, est_raw_negative, mode.workers());
+        let (emit, emit_why) = self.choose_emit(
+            hint,
+            record_distinct,
+            est_raw_negative,
+            rects,
+            mode.workers(),
+        );
 
         let indexed = rule_plan
             .iter()

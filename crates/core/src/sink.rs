@@ -22,14 +22,14 @@
 //!   shards into one dense [`PairSet`] after the task scope ends.
 //!   Shard boundaries are row-aligned **and** word-aligned
 //!   (`rows_per_shard · s_len ≡ 0 mod 64`), which keeps every row's
-//!   bit span inside a single shard — the bulk emission paths below
-//!   never split a row across shards.
+//!   bit span inside a single shard — the row emission path below
+//!   never splits a row across shards.
 //!
-//! Bulk emission: [`PairSink::push_rows`] carries the vectorized
-//! disagreement kernels' cross-product emission (`drivers ×
-//! literal-block`). The sharded override builds the literal block's
-//! bitmask template once and ORs it word-shifted into each driver
-//! row's range — the per-pair loop disappears entirely.
+//! On a streamed run only the rules that do not factorize reach the
+//! sinks: the vectorized disagreement plans keep their `drivers ×
+//! literal-block` product as a rectangle instead
+//! ([`crate::factorized`]), and the merged residual grid joins those
+//! rectangles in one [`FactorizedPairs`](crate::factorized::FactorizedPairs).
 //!
 //! Out-of-core emission: [`SpillSink`] wraps a [`ShardedSink`] with a
 //! resident-byte cap. When the cap is breached (checked cooperatively
@@ -54,8 +54,9 @@ use eid_relational::FxHashSet;
 
 /// Pair-space ceiling (in bits) for the dense bitset pair structures;
 /// a `|R|·|S|` grid up to this size costs at most 64 MiB per set.
-/// Larger inputs fall back to a hash set of packed pairs (and the
-/// planner keeps emission buffered).
+/// Larger inputs fall back to a hash set of packed pairs, and a
+/// streamed run's residual pairs buffer per task instead of sinking
+/// into shards.
 pub const MAX_BITSET_BITS: u128 = 1 << 29;
 
 /// Target shard size in grid bits (128 KiB of words): small enough
@@ -90,11 +91,17 @@ impl PairSet {
                 s_len,
             }
         } else {
-            PairSet::Hash(FxHashSet::with_capacity_and_hasher(
-                expected,
-                Default::default(),
-            ))
+            PairSet::hashed(expected)
         }
+    }
+
+    /// An empty hash set of packed pairs sized for `expected` — the
+    /// dedup set for pair lists too small to justify a grid.
+    pub fn hashed(expected: usize) -> PairSet {
+        PairSet::Hash(FxHashSet::with_capacity_and_hasher(
+            expected,
+            Default::default(),
+        ))
     }
 
     /// Wraps merged sink words as a dense set (the shard-merge
@@ -149,32 +156,6 @@ impl PairSet {
             PairSet::Bits { words, .. } => (words.len() * 8) as u64,
             // hashbrown: 8-byte key + 1 control byte per slot.
             PairSet::Hash(set) => set.capacity() as u64 * 9,
-        }
-    }
-
-    /// `|self ∩ other|` over the same `|R|·|S|` grid: an AND-popcount
-    /// sweep when both sides are bitsets, a probe of the explicit
-    /// pair list otherwise.
-    pub fn intersection_count(&self, other_pairs: &[(u32, u32)], other_set: &PairSet) -> usize {
-        match (self, other_set) {
-            (
-                PairSet::Bits {
-                    words: a,
-                    s_len: la,
-                },
-                PairSet::Bits {
-                    words: b,
-                    s_len: lb,
-                },
-            ) if la == lb => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x & y).count_ones() as usize)
-                .sum(),
-            _ => other_pairs
-                .iter()
-                .filter(|&&(i, j)| self.contains(i, j))
-                .count(),
         }
     }
 
@@ -296,15 +277,6 @@ pub trait PairSink {
     fn push_row(&mut self, i: u32, js: &[u32]) {
         for &j in js {
             self.push(i, j);
-        }
-    }
-
-    /// Emits the full cross product `is × js`, `i`-major — the bulk
-    /// disagreement emission (every pair definitely fires). The
-    /// default preserves the scalar loop's order exactly.
-    fn push_rows(&mut self, is: &[u32], js: &[u32]) {
-        for &i in is {
-            self.push_row(i, js);
         }
     }
 }
@@ -456,49 +428,6 @@ impl PairSink for ShardedSink {
             shard[(bit >> 6) - off0] |= 1u64 << (bit & 63);
         }
     }
-
-    /// Template-OR bulk emission: the `js` block becomes a row-width
-    /// bitmask built once, then OR-shifted into each driver row's
-    /// word range. Shard boundaries are row-aligned, so a row's whole
-    /// span lives in one shard and the inner loop is pure word ORs.
-    fn push_rows(&mut self, is: &[u32], js: &[u32]) {
-        if is.is_empty() || js.is_empty() {
-            return;
-        }
-        let s_len = self.geom.s_len;
-        let t_words = s_len.div_ceil(64);
-        let mut template = vec![0u64; t_words];
-        for &j in js {
-            template[(j as usize) >> 6] |= 1u64 << (j & 63);
-        }
-        self.pushes += is.len() as u64 * js.len() as u64;
-        for &i in is {
-            let base = i as usize * s_len;
-            let (word0, shift) = (base >> 6, (base & 63) as u32);
-            let k = i as usize / self.geom.rows_per_shard;
-            let off = word0 - k * self.geom.shard_words;
-            let shard = self.shard_mut(k);
-            if shift == 0 {
-                for (w, &t) in shard[off..off + t_words].iter_mut().zip(&template) {
-                    *w |= t;
-                }
-            } else {
-                // The template's bits above s_len are zero, so the
-                // shifted row never writes past its own span: the
-                // last in-range word is off + t_words - 1, and the
-                // spill word is only touched when real row bits
-                // carried into it.
-                let mut carry = 0u64;
-                for (idx, &t) in template.iter().enumerate() {
-                    shard[off + idx] |= (t << shift) | carry;
-                    carry = t >> (64 - shift);
-                }
-                if carry != 0 {
-                    shard[off + t_words] |= carry;
-                }
-            }
-        }
-    }
 }
 
 /// Counters of one shard merge, reported as `sink/*`.
@@ -511,8 +440,6 @@ pub struct SinkMergeStats {
     pub spilled_merges: u64,
     /// Total shard bytes the workers allocated (`sink/bytes`).
     pub bytes: u64,
-    /// Distinct pairs in the merged set.
-    pub distinct: u64,
 }
 
 /// ORs every worker's shards into one dense full-grid [`PairSet`],
@@ -551,9 +478,7 @@ pub fn merge_shards(geom: &SinkGeometry, sinks: &[ShardedSink]) -> (PairSet, Sin
             stats.spilled_merges += owners - 1;
         }
     }
-    let set = PairSet::from_words(words, geom.s_len);
-    stats.distinct = set.count() as u64;
-    (set, stats)
+    (PairSet::from_words(words, geom.s_len), stats)
 }
 
 /// Attempts before giving up on one spill I/O operation (the first
@@ -847,10 +772,6 @@ impl PairSink for SpillSink {
     fn push_row(&mut self, i: u32, js: &[u32]) {
         self.mem.push_row(i, js);
     }
-
-    fn push_rows(&mut self, is: &[u32], js: &[u32]) {
-        self.mem.push_rows(is, js);
-    }
 }
 
 /// Streams every worker's resident *and* spilled shards into one
@@ -900,9 +821,7 @@ pub fn merge_spilled(
             stats.spilled_merges += owners - 1;
         }
     }
-    let set = PairSet::from_words(words, geom.s_len);
-    stats.distinct = set.count() as u64;
-    Ok((set, stats))
+    Ok((PairSet::from_words(words, geom.s_len), stats))
 }
 
 /// RAII cleanup for a run's spill directory (or any scratch dir, e.g.
@@ -1001,11 +920,13 @@ mod tests {
             PairSink::push(&mut sink, i, j);
             PairSink::push(&mut buffered, i, j);
         }
-        // Bulk paths on top of the scalar ones.
+        // Row paths on top of the scalar ones.
         let is: Vec<u32> = (0..r_len as u32).step_by(7).collect();
         let js: Vec<u32> = (0..s_len as u32).step_by(5).collect();
-        sink.push_rows(&is, &js);
-        buffered.push_rows(&is, &js);
+        for &i in &is {
+            sink.push_row(i, &js);
+            buffered.push_row(i, &js);
+        }
         sink.push_row(300, &js);
         buffered.push_row(300, &js);
         assert_eq!(sink.pushes(), buffered.len() as u64);
@@ -1015,7 +936,7 @@ mod tests {
         expect.sort_unstable();
         expect.dedup();
         assert_eq!(set.to_pairs(), expect);
-        assert_eq!(stats.distinct as usize, expect.len());
+        assert_eq!(set.count(), expect.len());
         assert_eq!(stats.spilled_merges, 0);
     }
 
@@ -1061,8 +982,10 @@ mod tests {
         // flush so the merge must OR disk segments with memory.
         let is: Vec<u32> = (0..r_len as u32).step_by(11).collect();
         let js: Vec<u32> = (0..s_len as u32).step_by(3).collect();
-        spill.push_rows(&is, &js);
-        mem.push_rows(&is, &js);
+        for &i in &is {
+            spill.push_row(i, &js);
+            mem.push_row(i, &js);
+        }
         assert_eq!(spill.pushes(), mem.pushes());
         let stats = spill.stats();
         assert!(stats.spilled_segments >= 4, "{stats:?}");
@@ -1073,16 +996,13 @@ mod tests {
         let mut sinks = [spill];
         let (set, merge_stats) = merge_spilled(&geom, &mut sinks).unwrap();
         assert_eq!(set.to_pairs(), oracle.to_pairs());
-        assert_eq!(merge_stats.distinct, oracle_count(&oracle));
+        assert_eq!(set.count(), oracle.count());
+        assert!(merge_stats.bytes > 0);
         let spill_path = sinks[0].path.clone();
         assert!(spill_path.exists(), "spill file should exist before drop");
         drop(sinks);
         drop(dir);
         assert!(!spill_path.exists(), "guard should remove the spill dir");
-    }
-
-    fn oracle_count(set: &PairSet) -> u64 {
-        set.count() as u64
     }
 
     #[test]

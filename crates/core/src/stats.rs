@@ -166,9 +166,13 @@ pub mod counter {
     /// Streamed emission: shard ranges more than one worker touched,
     /// merged by OR post-scope. 0 means perfect row-range locality.
     pub const SINK_SPILLED_MERGES: &str = "sink/spilled_merges";
-    /// Streamed emission: total shard bytes the workers allocated —
-    /// the streamed twin of the buffered path's 8·pairs volume.
+    /// Streamed emission: total shard bytes the workers allocated for
+    /// the rules that do not factorize (0 when every refutation rule
+    /// kept its rectangle).
     pub const SINK_BYTES: &str = "sink/bytes";
+    /// Streamed emission: refutation rectangles in the factorized
+    /// negative table — one per vectorized disagreement node.
+    pub const SINK_RECTS: &str = "sink/rects";
     /// Spilled emission: bytes written to spill files (segment
     /// headers included; absent when nothing spilled).
     pub const SINK_SPILL_BYTES: &str = "sink/spill_bytes";

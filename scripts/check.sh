@@ -71,7 +71,9 @@ EOF
     # Plan-explain smoke: `eid plan` must print the cost model's
     # choices without executing, and the --json form must be a
     # well-shaped plan (every node carries id/kind/label/why/span,
-    # at least one probed identity rule names its blocking key).
+    # at least one probed identity rule names its blocking key, and
+    # at least one disagreement node keeps its output factorized as a
+    # rectangle).
     echo "==> eid plan --explain smoke"
     ./target/release/eid plan \
         --r examples/data/r.csv --r-key name,street \
@@ -102,8 +104,13 @@ probes = [n for n in plan["nodes"]
 assert probes, "no probed identity rule in the plan"
 assert all(n["key_positions"] for n in probes), probes
 assert any("blocking key" in n["why"] for n in probes), probes
+rects = [n for n in plan["nodes"]
+         if n["kind"] == "vector-scan" and n["family"] == "distinct"]
+assert rects, "no factorized (vector disagreement) node in the plan"
+sink = next(n for n in plan["nodes"] if n["kind"] == "sink")
+assert f"{len(rects)} disagreement node(s) kept as rectangles" in sink["why"], sink
 print(f"    plan OK: {len(plan['nodes'])} nodes, arm {plan['arm']}, "
-      f"mode {plan['mode']}")
+      f"mode {plan['mode']}, {len(rects)} factorized node(s)")
 EOF
     # Trace smoke: a traced run must write valid Chrome trace_event
     # JSON (balanced B/E per worker track, plan-span slice names) and
@@ -295,10 +302,11 @@ print(f"    kernel OK: counts identical; {batches} batches, "
 EOF
     rm -f "$kern_on" "$kern_off"
     # Auto-plan smoke: at n=800 the planner's own choice must take
-    # the fast path — streamed emission into bitset sinks and at
-    # least one vectorized scan — and classify exactly like the
+    # the fast path — streamed emission with every disagreement node
+    # kept as a rectangle (the workload has no residual rule, so no
+    # pair reaches a sink shard) — and classify exactly like the
     # nested-loop oracle arm.
-    echo "==> auto-plan smoke (n=800, streamed + vector vs nested_loop)"
+    echo "==> auto-plan smoke (n=800, streamed + factorized vs nested_loop)"
     auto_out="$(mktemp)"
     ./target/release/bench_json 800 --engines nested_loop,blocked \
         --out "$auto_out" >/dev/null
@@ -314,10 +322,13 @@ for key in ("matching", "negative", "undetermined"):
 plan = blocked["plan"]
 assert plan["emit"].startswith("streamed"), f"n=800 did not auto-stream: {plan['emit']}"
 assert plan["vector_nodes"] >= 1, f"n=800 auto plan has no vector node: {plan}"
-shards = blocked["counters"].get("sink/shards", 0)
-assert shards >= 1, f"streamed run recorded no sink shards: {blocked['counters']}"
+rects = blocked["counters"].get("sink/rects", 0)
+assert rects >= 1, f"streamed run kept no rectangle: {blocked['counters']}"
+sink_bytes = blocked["counters"].get("sink/bytes", 0)
+assert sink_bytes == 0, \
+    f"no residual rule, yet {sink_bytes} sink bytes: {blocked['counters']}"
 print(f"    auto plan OK: streamed, {plan['vector_nodes']} vector node(s), "
-      f"{shards} shard(s), counts equal to nested_loop")
+      f"{rects} rectangle(s), 0 sink bytes, counts equal to nested_loop")
 EOF
     rm -f "$auto_out"
     # Streaming perf gate: at n=3200 the blocked arm must resolve to

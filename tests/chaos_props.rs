@@ -26,6 +26,7 @@ use entity_id::core::matcher::{EntityMatcher, JoinAlgorithm, MatchConfig, MatchO
 use entity_id::core::plan::EmitHint;
 use entity_id::core::runtime::{AbortReason, RunBudget};
 use entity_id::datagen::{generate, GeneratorConfig, Workload};
+use entity_id::rules::{CmpOp, DistinctnessRule, Operand, Predicate, Side};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -55,6 +56,12 @@ const THREADS: [usize; 3] = [1, 2, 7];
 
 const EMITS: [EmitHint; 2] = [EmitHint::Auto, EmitHint::Spilled];
 
+/// A chaos world: the generator's ILFDs plus one distinctness rule
+/// that does not factorize (`e1.city ≠ e2.city` compares two
+/// attributes, so it runs in the residual scan). The ILFD rules keep
+/// their output as rectangles; the residual rule's pairs are what the
+/// sinks, the spill files and the byte budgets act on. Sound on these
+/// noise-free worlds: an entity's R and S copies share its city.
 fn world(n: usize, seed: u64) -> (Workload, MatchConfig) {
     let w = generate(&GeneratorConfig {
         n_entities: n,
@@ -66,7 +73,18 @@ fn world(n: usize, seed: u64) -> (Workload, MatchConfig) {
         n_cuisines: 5,
         seed,
     });
-    let config = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
+    let mut config = MatchConfig::new(w.extended_key.clone(), w.ilfds.clone());
+    config.extra_rules.add_distinctness(
+        DistinctnessRule::new(
+            "city-differs",
+            vec![Predicate::new(
+                Operand::attr(Side::E1, "city"),
+                CmpOp::Ne,
+                Operand::attr(Side::E2, "city"),
+            )],
+        )
+        .expect("valid residual rule"),
+    );
     (w, config)
 }
 
